@@ -154,12 +154,25 @@ def _newton_iters_for(order: int) -> int:
     return max(2, math.ceil(math.log2(order + 1)) + 1)
 
 
+def _float_arrays(*args) -> bool:
+    return any(isinstance(a, np.ndarray) and a.ndim > 0 and a.dtype != object for a in args)
+
+
+def _solve_each(solver, *args):
+    """Apply a scalar solver element by element over broadcast float arrays."""
+    bc = np.broadcast(*args)
+    return np.array([solver(*vals) for vals in bc]).reshape(bc.shape)
+
+
 def kepler_solve(M, e, tol: float = 1e-13, max_iter: int = 50):
     """Eccentric anomaly E with E - e*sin(E) = M (elliptic only).
 
     Scalar Newton on the constant part, then fixed polynomial Newton passes
-    when the inputs carry a nilpotent part.
+    when the inputs carry a nilpotent part.  Float arrays are solved element
+    by element.
     """
+    if _float_arrays(M, e):
+        return _solve_each(lambda m, ee: kepler_solve(m, ee, tol, max_iter), M, e)
     ebar = float(cons(e))
     if not 0.0 <= ebar < 1.0:
         raise ValueError(f"eccentricity {ebar} outside [0, 1)")
@@ -185,7 +198,14 @@ def kepler_solve(M, e, tol: float = 1e-13, max_iter: int = 50):
 
 
 def kepler_equinoctial_solve(lam, f, g, tol: float = 1e-13, max_iter: int = 50):
-    """Eccentric longitude F with F + g*cos(F) - f*sin(F) = lam."""
+    """Eccentric longitude F with F + g*cos(F) - f*sin(F) = lam.
+
+    Float arrays are solved element by element.
+    """
+    if _float_arrays(lam, f, g):
+        return _solve_each(
+            lambda lv, fv, gv: kepler_equinoctial_solve(lv, fv, gv, tol, max_iter), lam, f, g
+        )
     fbar, gbar, lbar = float(cons(f)), float(cons(g)), float(cons(lam))
     if fbar * fbar + gbar * gbar >= 1.0:
         raise ValueError("equinoctial eccentricity magnitude must be < 1")

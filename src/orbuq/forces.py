@@ -378,12 +378,12 @@ def harris_priester_density(h_km, cos_half_psi_sq, bulge_exponent):
     return rho * 1.0e-12  # g/km^3 -> kg/m^3
 
 
-def drag_acceleration(t_s, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
+def drag_acceleration(sun, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
+    """Harris-Priester drag; ``sun`` is the Sun position (km) at the epoch of r3."""
     rmag = norm3(r3)
     h_km = rmag - cfg.re_km
 
     # diurnal bulge direction: solar RA + 30 deg lag, on the solar declination
-    sun = sun_position(cons(t_s) if is_poly(t_s) else t_s)
     s_u = sun / np.linalg.norm(sun, axis=-1, keepdims=True)
     ra = np.arctan2(s_u[..., 1], s_u[..., 0]) + 30.0 * _DEG
     dec = np.arcsin(s_u[..., 2])
@@ -434,8 +434,8 @@ def shadow_factor(r3, sun_pos, re_km: float):
     return np.clip(nu, 0.0, 1.0)
 
 
-def srp_acceleration(t_s, r3, cfg: ForceConfig, sc: SpacecraftParams):
-    sun = sun_position(cons(t_s) if is_poly(t_s) else t_s)
+def srp_acceleration(sun, r3, cfg: ForceConfig, sc: SpacecraftParams):
+    """Cannonball SRP with shadow; ``sun`` is the Sun position (km) at the epoch of r3."""
     d = [r3[0] - sun[..., 0], r3[1] - sun[..., 1], r3[2] - sun[..., 2]]
     dmag = norm3(d)
     nu = shadow_factor(r3, sun, cfg.re_km)
@@ -459,16 +459,19 @@ def acceleration(t_s, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
         raise ValueError("position inside the Earth")
 
     acc = gravity_acceleration(r3, cfg, t_s)
+    # one Sun position serves the third body, the drag bulge and SRP
+    if cfg.third_body_sun or cfg.drag or cfg.srp:
+        sun = sun_position(cons(t_s) if is_poly(t_s) else t_s)
     if cfg.third_body_sun:
-        a = third_body_acceleration(r3, sun_position(t_s), MU_SUN)
+        a = third_body_acceleration(r3, sun, MU_SUN)
         acc = [acc[j] + a[j] for j in range(3)]
     if cfg.third_body_moon:
         a = third_body_acceleration(r3, moon_position(t_s), MU_MOON)
         acc = [acc[j] + a[j] for j in range(3)]
     if cfg.drag:
-        a = drag_acceleration(t_s, r3, v3, cfg, sc)
+        a = drag_acceleration(sun, r3, v3, cfg, sc)
         acc = [acc[j] + a[j] for j in range(3)]
     if cfg.srp:
-        a = srp_acceleration(t_s, r3, cfg, sc)
+        a = srp_acceleration(sun, r3, cfg, sc)
         acc = [acc[j] + a[j] for j in range(3)]
     return acc

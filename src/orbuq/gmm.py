@@ -22,12 +22,15 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
+from .ta import AlgebraContext
+
 __all__ = [
     "GaussianKernel", "GaussianMixture", "SplitLibrary", "SigmaSet",
     "gaussian_pdf", "l2_distance", "l2_library_residual",
     "generate_split_library", "split_kernel", "ut_sigma",
     "reconstruct_moments", "lam", "lam_dmm", "marginal_mixture",
-    "spectral_factors", "kernel_logpdf_support", "regular_dims",
+    "spectral_factors", "support_factors", "kernel_logpdf_support",
+    "logpdf_quadratic_forms", "regular_dims",
 ]
 
 _EIG_CLAMP = -1e-12
@@ -187,6 +190,21 @@ def lam_dmm(samples: np.ndarray, q: GaussianMixture) -> float:
     return float(total / samples.shape[0])
 
 
+def support_factors(kernel: GaussianKernel, rtol: float = 1e-12
+                    ) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Eigenvalues, eigenvectors and log normaliser of a kernel's regular subspace.
+
+    The subspace keeps the eigendirections above ``rtol`` of the largest
+    eigenvalue; an all-zero covariance has none and gives None.
+    """
+    lam, vec = spectral_factors(kernel.cov)
+    if lam.max() <= 0.0:
+        return None
+    keep = lam > rtol * lam.max()
+    lk = lam[keep]
+    return lk, vec[:, keep], 0.5 * np.sum(np.log(2.0 * np.pi * lk))
+
+
 def kernel_logpdf_support(kernel: GaussianKernel, xs: np.ndarray,
                           rtol: float = 1e-12) -> np.ndarray:
     """Log density of points restricted to the kernel's regular subspace.
@@ -196,15 +214,59 @@ def kernel_logpdf_support(kernel: GaussianKernel, xs: np.ndarray,
     caller is responsible for points actually lying on the support.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    lam, vec = spectral_factors(kernel.cov)
-    if lam.max() <= 0.0:
+    factors = support_factors(kernel, rtol)
+    if factors is None:
         return np.zeros(xs.shape[0])
-    keep = lam > rtol * lam.max()
-    lk = lam[keep]
-    d = (xs - kernel.mean) @ vec[:, keep]
+    lk, vk, lognorm = factors
+    d = (xs - kernel.mean) @ vk
     maha = np.sum(d * d / lk, axis=1)
-    lognorm = 0.5 * np.sum(np.log(2.0 * np.pi * lk))
     return -0.5 * maha - lognorm
+
+
+def logpdf_quadratic_forms(kernels: Sequence[GaussianKernel], centre: np.ndarray,
+                           rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """``log weight + kernel_logpdf_support`` of every kernel as a quadratic in x - centre.
+
+    Returns ``(G, H)``, each of shape (K, M) over the M monomials of
+    ``AlgebraContext(2, dim)``: ``monomial_values(x - centre) @ G[k]`` is
+    kernel k's log weight plus log density on its regular subspace (same
+    factors and keep rule as ``kernel_logpdf_support``).  ``H`` holds the
+    same coefficients built from absolute values, ``|V| diag(1/l) |V|^T``
+    in place of the precision ``V diag(1/l) V^T`` and ``|mean - centre|``
+    in place of ``mean - centre``; ``|F| @ H[k]`` bounds the magnitude of
+    every term that either form of the log density sums for a point with
+    monomials ``F``, which is what a rounding bound needs.
+    """
+    centre = np.asarray(centre, dtype=np.float64)
+    ctx = AlgebraContext(2, centre.size)
+    lin = np.flatnonzero(ctx.degrees == 1)
+    quad = np.flatnonzero(ctx.degrees == 2)
+    lin_var = ctx.expmat[lin].argmax(axis=1)
+    qi = np.array([np.flatnonzero(ctx.expmat[m])[0] for m in quad])
+    qj = np.array([np.flatnonzero(ctx.expmat[m])[-1] for m in quad])
+    # y_i^2 carries -P_ii / 2; y_i y_j (i < j) carries -P_ij, twice the half
+    qfac = np.where(qi == qj, 0.5, 1.0)
+    g = np.zeros((len(kernels), ctx.size))
+    h = np.zeros((len(kernels), ctx.size))
+    for k, kernel in enumerate(kernels):
+        logw = math.log(kernel.weight)
+        factors = support_factors(kernel, rtol)
+        if factors is None:
+            g[k, 0], h[k, 0] = logw, abs(logw)
+            continue
+        lk, vk, lognorm = factors
+        prec = (vk / lk) @ vk.T
+        prec_abs = (np.abs(vk) / lk) @ np.abs(vk).T
+        d = kernel.mean - centre
+        pd = prec @ d
+        ad = prec_abs @ np.abs(d)
+        g[k, 0] = logw - lognorm - 0.5 * (d @ pd)
+        h[k, 0] = abs(logw) + abs(lognorm) + 0.5 * (np.abs(d) @ ad)
+        g[k, lin] = pd[lin_var]
+        h[k, lin] = ad[lin_var]
+        g[k, quad] = -qfac * prec[qi, qj]
+        h[k, quad] = qfac * prec_abs[qi, qj]
+    return g, h
 
 
 def regular_dims(mix: GaussianMixture, tol: float = 1e-18) -> list[int]:

@@ -33,6 +33,9 @@ __all__ = ["IntegratorConfig", "integrate_batch", "integrate_da",
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+# |error / scale| below _ROOT_MAX / d keeps a d-term sum of squares, times d,
+# finite in float64
+_ROOT_MAX = 0.5 * math.sqrt(np.finfo(np.float64).max)
 
 
 class _Dp8:
@@ -244,7 +247,13 @@ def integrate_batch(f: Callable, t0: float, y0: np.ndarray, t_end: float,
 
 
 def _single_error_norm(scheme, big_k, ha, scale, d):
-    """Error norm of one step over plain float lists."""
+    """Error norm of one step over plain float lists.
+
+    A non-finite error component, or one large enough that the sum of
+    squares could overflow, makes the norm infinite (a rejected step)
+    without computing the square; below that limit the norm is unchanged.
+    """
+    root_max = _ROOT_MAX / d
     if scheme is _Dp8:
         e5sq = 0.0
         e3sq = 0.0
@@ -254,6 +263,8 @@ def _single_error_norm(scheme, big_k, ha, scale, d):
             for i in range(len(scheme.e5)):
                 s5 += scheme.e5[i] * big_k[i][m]
                 s3 += scheme.e3[i] * big_k[i][m]
+            if not (abs(s5) <= root_max * scale[m] and abs(s3) <= root_max * scale[m]):
+                return math.inf
             e5sq += (s5 / scale[m]) ** 2
             e3sq += (s3 / scale[m]) ** 2
         denom = e5sq + 0.01 * e3sq
@@ -265,6 +276,8 @@ def _single_error_norm(scheme, big_k, ha, scale, d):
         s = 0.0
         for i in range(len(scheme.e)):
             s += scheme.e[i] * big_k[i][m]
+        if not abs(s) <= root_max * scale[m]:
+            return math.inf
         acc += (s / scale[m]) ** 2
     return ha * math.sqrt(acc / d)
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +51,7 @@ from .gmm import (
     generate_split_library,
     kernel_logpdf_support,
     lam_dmm,
+    logpdf_quadratic_forms,
     marginal_mixture,
     regular_dims,
     reconstruct_moments,
@@ -61,7 +63,7 @@ from .integrate import IntegratorConfig
 from .loads import Domain, LoadsConfig, Manifold, initial_domain, loads_gmm, nli, scaled_jacobian
 from .lowfi import KeplerJ2Theory, MeanElements, Sgp4Theory, lf_target, osc_to_mean
 from .sgp4 import WGS72
-from .ta import DAVector
+from .ta import AlgebraContext, DAVector
 from .timeutil import jday_from_iso, seconds_since_j2000
 
 __all__ = [
@@ -73,6 +75,21 @@ __all__ = [
 
 _DEG = math.pi / 180.0
 _CHUNK = 4096  # fixed batch partition: results never depend on thread count
+_BLOCK_ENTRIES = 2**16  # cap on the entries of each mf_sample_eval work array
+# OpenBLAS (0.3.31) runs a matrix product of m * n * k multiply-adds on
+# floor(m * n * k / 2**18) threads, so one below 2**19 runs on one thread.
+# Threaded products of mf_sample_eval's sizes gain nothing on 2 cores, and
+# when another process held a core their waits made a call 1.8-6x slower
+# (heo-eq, 677 kernels, 4000 samples), so every product stays below it.
+_PRODUCT_MACS = 2**19 - 1
+# Rounding bound of a stacked score, in units of eps * (|F| @ H.T) (see
+# logpdf_quadratic_forms).  To first order the score GEMM and its inputs err
+# by at most (28 + 1 + 2 + 20) u: the 28-term dot product, the rounded
+# monomials, the rounded centring of point and mean, and the precision and
+# constant entries; the per-kernel loop of kernel_logpdf_support errs by at
+# most 23 u (7-term projections squared, a 6-term sum, two final additions).
+# With u = eps / 2 the difference of the two is below 37 eps; 64 leaves margin.
+_SCORE_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -178,6 +195,11 @@ class MfResult:
     def fast_angle_index(self) -> int | None:
         return 5 if self.element_set.fast is not None else None
 
+    @cached_property
+    def stacked(self) -> "StackedKernels":
+        """Whole-array view of the kernels, built on first use (results are never mutated)."""
+        return StackedKernels.build(self.inputs, self.maps_lf, self.maps_mf, self.scenario.ci)
+
     def metrics_obj(self) -> dict:
         return {
             "scenario": self.scenario.name,
@@ -188,6 +210,46 @@ class MfResult:
             "kappa_fallback_kernels": self.kappa_fallback,
             "timings": self.timings,
         }
+
+
+@dataclass(frozen=True)
+class StackedKernels:
+    """The kernels of one manifold as stacked arrays, for ``mf_sample_eval``.
+
+    ``score`` and ``score_abs`` are the ``(G, H)`` pair of
+    ``logpdf_quadratic_forms`` about ``centre``, the weighted mean of the
+    kernel means; the rest holds, per kernel, the mean, the eigenbasis and
+    the CI amplitudes of its box chart, and the coefficients of its LF and
+    MF maps (monomial by output component).
+    """
+
+    centre: np.ndarray       # (d,)
+    score: np.ndarray        # (K, 28)
+    score_abs: np.ndarray    # (K, 28)
+    means: np.ndarray        # (K, d)
+    eigvecs: np.ndarray      # (K, d, d)
+    amp: np.ndarray          # (K, d); zero on inert directions
+    coeffs_lf: np.ndarray    # (K, M, d)
+    coeffs_mf: np.ndarray    # (K, M, d)
+
+    @classmethod
+    def build(cls, inputs: Manifold, maps_lf: Sequence[DAVector],
+              maps_mf: Sequence[DAVector], ci: float) -> "StackedKernels":
+        kernels = [dom.kernel for dom in inputs]
+        weights = np.array([k.weight for k in kernels])
+        means = np.array([k.mean for k in kernels])
+        centre = weights @ means / weights.sum()
+        score, score_abs = logpdf_quadratic_forms(kernels, centre)
+
+        def coeffs(maps):
+            return np.array([np.stack([p.c for p in mp], axis=1) for mp in maps])
+
+        return cls(
+            centre=centre, score=score, score_abs=score_abs, means=means,
+            eigvecs=np.array([dom.eigvecs for dom in inputs]),
+            amp=np.array([ci * np.sqrt(dom.eigvals) for dom in inputs]),
+            coeffs_lf=coeffs(maps_lf), coeffs_mf=coeffs(maps_mf),
+        )
 
 
 def batch_propagate_chunked(states: np.ndarray, t0_s: float, t1_s: float,
@@ -207,20 +269,30 @@ def batch_propagate_chunked(states: np.ndarray, t0_s: float, t1_s: float,
     return np.vstack([np.atleast_2d(o) for o in outs])
 
 
-def _box_coordinates(domain: Domain, points: np.ndarray, ci: float) -> np.ndarray:
-    """Physical points -> unit-box coordinates of a domain's affine chart."""
-    amp = ci * np.sqrt(domain.eigvals)
-    d = (points - domain.kernel.mean) @ domain.eigvecs
-    out = np.zeros_like(d)
-    nz = amp > 0.0
-    out[:, nz] = d[:, nz] / amp[nz]
-    return out
+def _rows_to_cartesian(rows: np.ndarray, eset: ElementSet, mu: float) -> np.ndarray:
+    """(N, 6) element-set rows -> cartesian rows, converted as whole columns."""
+    if eset.kind == ElemKind.CARTESIAN:
+        return rows
+    cols, _ = convert_values(list(rows.T), eset, CARTESIAN, mu)
+    return np.column_stack(cols)
+
+
+def _box_coordinates(points: np.ndarray, mean: np.ndarray, eigvecs: np.ndarray,
+                     amp: np.ndarray) -> np.ndarray:
+    """Physical points -> unit-box coordinates of an affine chart.
+
+    ``amp`` holds the chart's CI amplitudes; inert directions (zero
+    amplitude) get coordinate zero.
+    """
+    d = (points - mean) @ eigvecs
+    return np.divide(d, amp, out=np.zeros_like(d), where=amp > 0.0)
 
 
 def _ut_through_map(domain: Domain, mapped: DAVector, kappa: float, ci: float):
     """Unscented moments of one kernel pushed through its Taylor map."""
     sigma = ut_sigma(domain.kernel, kappa)
-    boxes = _box_coordinates(domain, sigma.points, ci)
+    boxes = _box_coordinates(sigma.points, domain.kernel.mean, domain.eigvecs,
+                             ci * np.sqrt(domain.eigvals))
     ys = mapped.eval_many(boxes)
     return reconstruct_moments(ys, sigma.weights)
 
@@ -425,10 +497,7 @@ def mf_propagate(scenario: Scenario, threads: int = 1,
 
     # pointwise high-fidelity correction of every kernel mean
     tic = time.perf_counter()
-    means_set = np.array([d.kernel.mean for d in inputs])
-    means_cart = np.array(
-        [convert_values(list(m), eset, CARTESIAN, mu)[0] for m in means_set]
-    )
+    means_cart = _rows_to_cartesian(np.array([d.kernel.mean for d in inputs]), eset, mu)
     tic_single = time.perf_counter()
     _ = propagate_hf(means_cart[0], t0_s, t1_s, scenario.force,
                      scenario.integrator, scenario.spacecraft)
@@ -527,12 +596,7 @@ def mc_reference(scenario: Scenario, n: int, seed: int | None = None,
                              "initial mixture for consistent sampling")
         initial_mixture = GaussianMixture((GaussianKernel(1.0, mu0, p0),))
     x0 = sample_initial(scenario, initial_mixture, n, seed)
-    if eset.kind == ElemKind.CARTESIAN:
-        cart0 = x0
-    else:
-        cart0 = np.array(
-            [convert_values(list(row), eset, CARTESIAN, mu)[0] for row in x0]
-        )
+    cart0 = _rows_to_cartesian(x0, eset, mu)
     t0_s = scenario.epoch_s
     cart1 = batch_propagate_chunked(
         cart0, t0_s, t0_s + scenario.duration_s, scenario.force,
@@ -549,30 +613,107 @@ def mc_reference(scenario: Scenario, n: int, seed: int | None = None,
     return x0, out
 
 
+def _exact_assignment(inputs: Manifold, row: np.ndarray, kernels) -> int:
+    """Kernel of highest ``log weight + kernel_logpdf_support`` among ``kernels``.
+
+    Scans in index order and replaces only on a strictly greater score, so
+    ties go to the lowest index; kernel 0 when no score exceeds -inf.
+    """
+    best, pick = -np.inf, 0
+    for j in kernels:
+        dom = inputs[j]
+        lr = math.log(dom.weight) + kernel_logpdf_support(dom.kernel, row)[0]
+        if lr > best:
+            best, pick = lr, int(j)
+    return pick
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = a @ b`` in tiles of at most ``_PRODUCT_MACS`` multiply-adds each."""
+    inner, n = b.shape
+    cols = max(1, min(n, _PRODUCT_MACS // inner))
+    rows = max(1, _PRODUCT_MACS // (inner * cols))
+    for i in range(0, a.shape[0], rows):
+        for j in range(0, n, cols):
+            np.matmul(a[i:i + rows], b[:, j:j + cols], out=out[i:i + rows, j:j + cols])
+    return out
+
+
+def _assign_samples(result: MfResult, xs: np.ndarray) -> np.ndarray:
+    """Kernel of highest posterior responsibility for every sample.
+
+    One matrix product (run in tiles of ``_PRODUCT_MACS``) scores a block of
+    samples against all kernels; a sample whose best score is not clear of
+    every other score by the rounding bound is re-scored exactly, so the
+    assignment equals the per-kernel scan.
+    """
+    n = xs.shape[0]
+    assign = np.zeros(n, dtype=np.intp)
+    if len(result.inputs) == 1:
+        return assign
+    view = result.stacked
+    g, h = view.score, view.score_abs
+    ctx = AlgebraContext(2, xs.shape[1])
+    rows = max(1, _BLOCK_ENTRIES // max(g.shape[0], ctx.size))
+    score_buf = np.empty((min(rows, n), g.shape[0]))
+    bound_buf = np.empty_like(score_buf)
+    for a in range(0, n, rows):
+        feats = ctx.monomial_values(xs[a:a + rows] - view.centre)
+        m = feats.shape[0]
+        score = _product(feats, g.T, score_buf[:m])
+        bound = _product(np.abs(feats, out=feats), h.T, bound_buf[:m])
+        bound *= _SCORE_ROUNDING
+        best = score.argmax(axis=1)
+        at = np.arange(best.size)
+        floor = score[at, best] - bound[at, best]
+        score += bound
+        cand = score >= floor[:, None]
+        assign[a:a + rows] = best
+        # non-finite scores (points off the float range) take the full scan
+        unsure = ~np.isfinite(floor)
+        cand[unsure] = True
+        for i in np.flatnonzero(unsure | (np.count_nonzero(cand, axis=1) > 1)):
+            assign[a + i] = _exact_assignment(result.inputs, xs[a + i], np.flatnonzero(cand[i]))
+    return assign
+
+
 def mf_sample_eval(result: MfResult, initial_samples: np.ndarray,
                    use_lf: bool = False) -> np.ndarray:
     """Evaluate initial samples through the per-kernel maps.
 
     Each sample goes to the kernel with the highest posterior responsibility
-    ``weight * N(sample; mean, cov)`` of the initial mixture, then through
-    that kernel's polynomial — no extra propagation involved.
+    ``weight * N(sample; mean, cov)`` of the initial mixture, scored as
+    ``log weight + kernel_logpdf_support``; ties go to the lowest kernel
+    index.  It then goes through that kernel's polynomial -- no extra
+    propagation involved.  The work runs on ``result.stacked``, a view of
+    all kernels built once per result: one matrix product scores a block of
+    samples against every kernel, a sample whose best score is within the rounding
+    bound of another is re-scored exactly, kernel by kernel, and samples
+    sorted by kernel go through one map product per kernel.  No work array
+    holds more than 2**16 entries (or one sample's row, if that is longer).
     """
     xs = np.atleast_2d(np.asarray(initial_samples, dtype=np.float64))
-    inputs = result.inputs
-    maps = result.maps_lf if use_lf else result.maps_mf
-    # streaming argmax keeps memory at O(N) for manifolds with thousands of kernels
-    best = np.full(xs.shape[0], -np.inf)
-    assign = np.zeros(xs.shape[0], dtype=np.intp)
-    for j, dom in enumerate(inputs):
-        lr = math.log(dom.weight) + kernel_logpdf_support(dom.kernel, xs)
-        better = lr > best
-        best[better] = lr[better]
-        assign[better] = j
+    assign = _assign_samples(result, xs)
+    view = result.stacked
+    coeffs = view.coeffs_lf if use_lf else view.coeffs_mf
+    ctx = (result.maps_lf if use_lf else result.maps_mf)[0].ctx
+    order = np.argsort(assign, kind="stable")
     out = np.empty_like(xs)
-    for j in np.unique(assign):
-        rows = np.nonzero(assign == j)[0]
-        boxes = _box_coordinates(inputs[j], xs[rows], result.scenario.ci)
-        out[rows] = maps[j].eval_many(boxes)
+    rows = max(1, min(_BLOCK_ENTRIES // ctx.size, _PRODUCT_MACS // coeffs[0].size))
+    for a in range(0, order.size, rows):
+        idx = order[a:a + rows]
+        pts = xs[idx]
+        ks = assign[idx]
+        cuts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1), idx.size]
+        segments = [(ks[lo], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        boxes = np.empty_like(pts)
+        for k, lo, hi in segments:
+            boxes[lo:hi] = _box_coordinates(pts[lo:hi], view.means[k], view.eigvecs[k],
+                                            view.amp[k])
+        mono = ctx.monomial_values(boxes)
+        for k, lo, hi in segments:
+            pts[lo:hi] = mono[lo:hi] @ coeffs[k]
+        out[idx] = pts
     return out
 
 

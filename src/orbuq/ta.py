@@ -75,7 +75,23 @@ def _context_tables(order: int, nvars: int):
                 np.array(fac, dtype=np.float64),
             )
         )
-    return monos, index, degs, expmat, (mul_i, mul_j, mul_k), dtabs
+
+    # monomial values degree by degree: value[dst] = value[parent] * x[var],
+    # where var is the monomial's last variable and parent lacks one power of it
+    lift = []
+    for d in range(1, order + 1):
+        dst, parent, var = [], [], []
+        for i, e in enumerate(monos):
+            if sum(e) != d:
+                continue
+            v = max(j for j, p in enumerate(e) if p)
+            lowered = list(e)
+            lowered[v] -= 1
+            dst.append(i)
+            parent.append(index[tuple(lowered)])
+            var.append(v)
+        lift.append(tuple(np.array(a, dtype=np.intp) for a in (dst, parent, var)))
+    return monos, index, degs, expmat, (mul_i, mul_j, mul_k), dtabs, lift
 
 
 class AlgebraContext:
@@ -86,20 +102,23 @@ class AlgebraContext:
     """
 
     __slots__ = ("order", "nvars", "monomials", "index", "degrees", "expmat",
-                 "_multab", "_dtabs", "size")
+                 "_multab", "_dtabs", "_lift", "size")
 
     def __init__(self, order: int, nvars: int):
         if order < 1 or nvars < 1:
             raise ValueError("order and nvars must both be >= 1")
         self.order = int(order)
         self.nvars = int(nvars)
-        monos, index, degs, expmat, multab, dtabs = _context_tables(self.order, self.nvars)
+        monos, index, degs, expmat, multab, dtabs, lift = _context_tables(
+            self.order, self.nvars
+        )
         self.monomials = monos
         self.index = index
         self.degrees = degs
         self.expmat = expmat
         self._multab = multab
         self._dtabs = dtabs
+        self._lift = lift
         self.size = len(monos)
 
     def __eq__(self, other):
@@ -117,6 +136,21 @@ class AlgebraContext:
 
     def compatible(self, other: "AlgebraContext") -> bool:
         return self is other or (self.order == other.order and self.nvars == other.nvars)
+
+    def monomial_values(self, points: np.ndarray) -> np.ndarray:
+        """(m, nvars) points -> (m, size) values of the basis monomials.
+
+        Each monomial is one product of a lower-degree monomial and a
+        variable, so every value of degree 2 is a single rounded product.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != self.nvars:
+            raise ValueError(f"points must be (m, {self.nvars})")
+        out = np.empty((pts.shape[0], self.size))
+        out[:, 0] = 1.0
+        for dst, parent, var in self._lift:
+            out[:, dst] = out[:, parent] * pts[:, var]
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -334,16 +368,11 @@ class TaylorPoly:
         pt = np.asarray(point, dtype=np.float64)
         if pt.shape != (self.ctx.nvars,):
             raise ValueError(f"point must have length {self.ctx.nvars}")
-        mono_vals = np.prod(pt[None, :] ** self.ctx.expmat, axis=1)
-        return float(self.c @ mono_vals)
+        return float(self.c @ self.ctx.monomial_values(pt[None, :])[0])
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on an (m, nvars) array of points in one shot."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.ctx.nvars:
-            raise ValueError(f"points must be (m, {self.ctx.nvars})")
-        mono_vals = np.prod(pts[:, None, :] ** self.ctx.expmat[None, :, :], axis=2)
-        return mono_vals @ self.c
+        return self.ctx.monomial_values(points) @ self.c
 
     def __call__(self, point):
         return self.eval(point)
@@ -559,11 +588,8 @@ class DAVector:
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """(m, nvars) points -> (m, len(self)) values."""
-        pts = np.asarray(points, dtype=np.float64)
-        ctx = self.ctx
-        mono_vals = np.prod(pts[:, None, :] ** ctx.expmat[None, :, :], axis=2)
         cmat = np.stack([p.c for p in self.components], axis=1)
-        return mono_vals @ cmat
+        return self.ctx.monomial_values(points) @ cmat
 
     def __repr__(self):
         return f"DAVector({len(self.components)} components, {self.ctx})"

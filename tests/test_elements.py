@@ -131,6 +131,21 @@ class TestConversions:
             worst = max(worst, err)
         assert worst < 1e-6
 
+    @pytest.mark.parametrize("source", ALL_NONCART, ids=lambda s: s.label())
+    def test_whole_columns_match_rows(self, source):
+        # one call on (N,) columns gives the row-by-row values up to the
+        # roundoff by which numpy's array functions may differ from math's
+        rng = np.random.default_rng(7)
+        rows = []
+        for _ in range(200):
+            rv, _ = convert_values(random_elliptic_kepler(rng), KEPLERIAN, CARTESIAN, MU)
+            rows.append(convert_values(rv, CARTESIAN, source, MU)[0])
+        rows = np.array(rows)
+        by_row = np.array([convert_values(list(r), source, CARTESIAN, MU)[0] for r in rows])
+        cols, _ = convert_values(list(rows.T), source, CARTESIAN, MU)
+        by_col = np.column_stack(cols)
+        assert np.all(np.abs(by_col - by_row) <= 1e-14 * np.abs(by_row).max(axis=0))
+
     def test_vis_viva_consistency(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

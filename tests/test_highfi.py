@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from orbuq import forces
 from orbuq.elements import CARTESIAN, KEPLERIAN, MEE_L, convert_values
 from orbuq.forces import (
     ForceConfig,
@@ -93,6 +94,36 @@ class TestAcceleration:
         for i in range(5):
             row = rhs(np.array([EPOCH_2021]), y[i][None, :])[0]
             np.testing.assert_array_equal(batch[i], row)
+
+    def test_one_sun_position_per_call(self, monkeypatch):
+        # the Sun serves the third body, the drag bulge and SRP: computed once,
+        # with the same sums as when each term computed its own at t
+        cfg = ForceConfig(drag=True, srp=True)
+        rng = np.random.default_rng(4)
+        n = 7
+        r = np.tile([6678.0, 0.0, 0.0], (n, 1)) + rng.normal(0, 50.0, (n, 3))
+        v = np.tile([0.0, 7.7, 0.1], (n, 1)) + rng.normal(0, 0.01, (n, 3))
+        t = EPOCH_2021 + rng.uniform(0.0, 86400.0, n)
+        r3, v3 = list(r.T), list(v.T)
+        own = [forces.gravity_acceleration(r3, cfg, t),
+               forces.third_body_acceleration(r3, sun_position(t), forces.MU_SUN),
+               forces.third_body_acceleration(r3, moon_position(t), forces.MU_MOON),
+               forces.drag_acceleration(sun_position(t), r3, v3, cfg, SC),
+               forces.srp_acceleration(sun_position(t), r3, cfg, SC)]
+        ref = own[0]
+        for a in own[1:]:
+            ref = [ref[j] + a[j] for j in range(3)]
+
+        calls = []
+
+        def counted(t_s):
+            calls.append(t_s)
+            return sun_position(t_s)
+
+        monkeypatch.setattr(forces, "sun_position", counted)
+        got = acceleration(t, r3, v3, cfg, SC)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(np.array(got), np.array(ref))
 
 
 class TestThirdBodies:

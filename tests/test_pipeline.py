@@ -17,9 +17,16 @@ from orbuq.elements import (
     convert_values,
 )
 from orbuq.forces import ForceConfig
-from orbuq.gmm import GaussianKernel, GaussianMixture, lam_dmm, marginal_mixture
+from orbuq import pipeline
+from orbuq.gmm import (
+    GaussianKernel,
+    GaussianMixture,
+    kernel_logpdf_support,
+    lam_dmm,
+    marginal_mixture,
+)
 from orbuq.integrate import IntegratorConfig
-from orbuq.loads import initial_domain
+from orbuq.loads import Manifold, initial_domain
 from orbuq.lowfi import KeplerJ2Theory, lf_target
 from orbuq.pipeline import (
     Scenario,
@@ -258,6 +265,134 @@ class TestMfSampleEval:
         # predictions from second-order maps track the truth closely
         err = rmse(x1, pred)
         assert err[:3].max() < 1e-4
+
+
+def loop_sample_eval(result, xs, use_lf=False):
+    """Reference evaluator: the per-kernel scan with a streaming strict argmax."""
+    maps = result.maps_lf if use_lf else result.maps_mf
+    best = np.full(xs.shape[0], -np.inf)
+    assign = np.zeros(xs.shape[0], dtype=np.intp)
+    for j, dom in enumerate(result.inputs):
+        lr = math.log(dom.weight) + kernel_logpdf_support(dom.kernel, xs)
+        better = lr > best
+        best[better] = lr[better]
+        assign[better] = j
+    out = np.empty_like(xs)
+    for j in np.unique(assign):
+        rows = np.flatnonzero(assign == j)
+        dom = result.inputs[j]
+        amp = result.scenario.ci * np.sqrt(dom.eigvals)
+        d = (xs[rows] - dom.kernel.mean) @ dom.eigvecs
+        out[rows] = maps[j].eval_many(np.where(amp > 0, d / np.where(amp > 0, amp, 1.0), 0.0))
+    return out, assign
+
+
+def with_domains(result, picks, kernels=None, maps_shift=None):
+    """A result whose kernels are ``result``'s at indices ``picks``.
+
+    ``kernels`` replaces some of the picked kernels ({position: kernel});
+    ``maps_shift`` adds constants to some picked maps ({position: offset}),
+    so a test can tell which copy of a duplicated kernel a sample went to.
+    """
+    kernels = kernels or {}
+    maps_shift = maps_shift or {}
+    doms = [result.inputs[j] for j in picks]
+    doms = [replace(d, kernel=kernels[i]) if i in kernels else d for i, d in enumerate(doms)]
+
+    def maps(src):
+        out = [src[j] for j in picks]
+        return [DAVector([p + maps_shift[i] for p in m]) if i in maps_shift else m
+                for i, m in enumerate(out)]
+
+    return replace(result, inputs=Manifold(doms), maps_lf=maps(result.maps_lf),
+                   maps_mf=maps(result.maps_mf))
+
+
+def assert_matches_loop(result, xs, use_lf=False):
+    ref, ref_assign = loop_sample_eval(result, xs, use_lf)
+    got = mf_sample_eval(result, xs, use_lf=use_lf)
+    np.testing.assert_array_equal(pipeline._assign_samples(result, xs), ref_assign)
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+    return ref_assign
+
+
+@pytest.fixture(scope="module")
+def multi_result():
+    res = mf_propagate(kepler_identity_scenario(eps_nu=2e-3, periods=1.0))
+    assert res.n_kernels == 3
+    return res
+
+
+def spread_samples(result, n, seed):
+    """Samples of the initial mixture plus a wider cloud that reaches every kernel."""
+    x0 = sample_initial(result.scenario, result.initial_mixture, n, seed=seed)
+    mean = result.initial_mixture.kernels[0].mean
+    return np.vstack([x0, mean + 2.0 * (x0 - mean)])
+
+
+class TestStackedSampleEval:
+    @pytest.mark.parametrize("use_lf", [False, True])
+    def test_matches_per_kernel_loop(self, multi_result, use_lf):
+        xs = spread_samples(multi_result, 400, seed=11)
+        assign = assert_matches_loop(multi_result, xs, use_lf)
+        assert np.unique(assign).size == multi_result.n_kernels
+
+    def test_exact_tie_goes_to_lowest_index(self, multi_result, monkeypatch):
+        # kernel 1 twice: equal scores, the first copy wins; the second copy's
+        # maps are shifted so any sample it took would show
+        res = with_domains(multi_result, [0, 1, 1, 2], maps_shift={2: 1.0})
+        xs = spread_samples(multi_result, 200, seed=12)
+        rescored = []
+        monkeypatch.setattr(pipeline, "kernel_logpdf_support",
+                            lambda k, x: rescored.append(1) or kernel_logpdf_support(k, x))
+        assign = assert_matches_loop(res, xs)
+        assert np.any(assign == 1) and not np.any(assign == 2)
+        assert rescored  # ties run the exact re-check
+
+    def test_near_tie_runs_exact_recheck(self, multi_result, monkeypatch):
+        # a copy of kernel 1 with a weight larger by 1e-13 relative: the score
+        # gap is below the rounding bound, so both copies are candidates, and
+        # far above the rounding of the exact scores, so the copy must win
+        k1 = multi_result.inputs[1].kernel
+        heavier = GaussianKernel(k1.weight * (1.0 + 1e-13), k1.mean, k1.cov)
+        res = with_domains(multi_result, [0, 1, 1, 2], kernels={2: heavier},
+                           maps_shift={2: 1.0})
+        xs = spread_samples(multi_result, 200, seed=13)
+        rescored = []
+        monkeypatch.setattr(pipeline, "kernel_logpdf_support",
+                            lambda k, x: rescored.append(1) or kernel_logpdf_support(k, x))
+        assign = assert_matches_loop(res, xs)
+        assert np.any(assign == 2) and not np.any(assign == 1)
+        assert len(rescored) >= 2 * np.count_nonzero(assign == 2)
+
+    def test_inert_directions(self, multi_result):
+        # z and vz exactly inert in every kernel: scored on the regular
+        # subspace, zero box coordinates along the inert directions
+        kernels = {}
+        for i, dom in enumerate(multi_result.inputs):
+            cov = dom.kernel.cov.copy()
+            cov[[2, 5], :] = 0.0
+            cov[:, [2, 5]] = 0.0
+            kernels[i] = GaussianKernel(dom.weight, dom.kernel.mean, cov)
+        res = with_domains(multi_result, [0, 1, 2], kernels=kernels)
+        inert = [replace(initial_domain(k.mean, k.cov, res.scenario.ci, weight=k.weight),
+                         state=d.state) for d, k in zip(res.inputs, kernels.values())]
+        res = replace(res, inputs=Manifold(inert))
+        assert all(np.count_nonzero(d.eigvals == 0.0) == 2 for d in res.inputs)
+        xs = spread_samples(multi_result, 300, seed=14)
+        for use_lf in (False, True):
+            assign = assert_matches_loop(res, xs, use_lf)
+        assert np.unique(assign).size == 3
+
+    def test_blocks_not_dividing_sample_count(self, multi_result, monkeypatch):
+        # blocks of 3 samples (100 entries // 28 monomials) over 82 samples
+        monkeypatch.setattr(pipeline, "_BLOCK_ENTRIES", 100)
+        res = replace(multi_result)  # a fresh result: the view is rebuilt
+        xs = spread_samples(multi_result, 41, seed=15)
+        assert xs.shape[0] % 3 != 0
+        for use_lf in (False, True):
+            assert_matches_loop(res, xs, use_lf)
 
 
 class TestRmse:
