@@ -76,12 +76,6 @@ __all__ = [
 _DEG = math.pi / 180.0
 _CHUNK = 4096  # fixed batch partition: results never depend on thread count
 _BLOCK_ENTRIES = 2**16  # cap on the entries of each mf_sample_eval work array
-# OpenBLAS (0.3.31) runs a matrix product of m * n * k multiply-adds on
-# floor(m * n * k / 2**18) threads, so one below 2**19 runs on one thread.
-# Threaded products of mf_sample_eval's sizes gain nothing on 2 cores, and
-# when another process held a core their waits made a call 1.8-6x slower
-# (heo-eq, 677 kernels, 4000 samples), so every product stays below it.
-_PRODUCT_MACS = 2**19 - 1
 # Rounding bound of a stacked score, in units of eps * (|F| @ H.T) (see
 # logpdf_quadratic_forms).  To first order the score GEMM and its inputs err
 # by at most (28 + 1 + 2 + 20) u: the 28-term dot product, the rounded
@@ -168,9 +162,13 @@ def make_theory(scenario: Scenario):
     return KeplerJ2Theory(mu=scenario.mu, frame=FrameModel())
 
 
-@dataclass
+@dataclass(frozen=True)
 class MfResult:
-    """Maps, mixtures and diagnostics of one multifidelity run."""
+    """Maps, mixtures and diagnostics of one multifidelity run.
+
+    Frozen, because ``stacked`` caches a view of ``inputs`` and the maps;
+    the lists they hold must not be changed in place either.
+    """
 
     scenario: Scenario
     element_set: ElementSet
@@ -197,7 +195,7 @@ class MfResult:
 
     @cached_property
     def stacked(self) -> "StackedKernels":
-        """Whole-array view of the kernels, built on first use (results are never mutated)."""
+        """Whole-array view of the kernels, built on first use."""
         return StackedKernels.build(self.inputs, self.maps_lf, self.maps_mf, self.scenario.ci)
 
     def metrics_obj(self) -> dict:
@@ -628,24 +626,13 @@ def _exact_assignment(inputs: Manifold, row: np.ndarray, kernels) -> int:
     return pick
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = a @ b`` in tiles of at most ``_PRODUCT_MACS`` multiply-adds each."""
-    inner, n = b.shape
-    cols = max(1, min(n, _PRODUCT_MACS // inner))
-    rows = max(1, _PRODUCT_MACS // (inner * cols))
-    for i in range(0, a.shape[0], rows):
-        for j in range(0, n, cols):
-            np.matmul(a[i:i + rows], b[:, j:j + cols], out=out[i:i + rows, j:j + cols])
-    return out
-
-
 def _assign_samples(result: MfResult, xs: np.ndarray) -> np.ndarray:
     """Kernel of highest posterior responsibility for every sample.
 
-    One matrix product (run in tiles of ``_PRODUCT_MACS``) scores a block of
-    samples against all kernels; a sample whose best score is not clear of
-    every other score by the rounding bound is re-scored exactly, so the
-    assignment equals the per-kernel scan.
+    One matrix product scores a block of samples against all kernels; a
+    sample whose best score is not clear of every other score by the
+    rounding bound is re-scored exactly, so the assignment equals the
+    per-kernel scan.
     """
     n = xs.shape[0]
     assign = np.zeros(n, dtype=np.intp)
@@ -660,8 +647,8 @@ def _assign_samples(result: MfResult, xs: np.ndarray) -> np.ndarray:
     for a in range(0, n, rows):
         feats = ctx.monomial_values(xs[a:a + rows] - view.centre)
         m = feats.shape[0]
-        score = _product(feats, g.T, score_buf[:m])
-        bound = _product(np.abs(feats, out=feats), h.T, bound_buf[:m])
+        score = np.matmul(feats, g.T, out=score_buf[:m])
+        bound = np.matmul(np.abs(feats, out=feats), h.T, out=bound_buf[:m])
         bound *= _SCORE_ROUNDING
         best = score.argmax(axis=1)
         at = np.arange(best.size)
@@ -699,7 +686,7 @@ def mf_sample_eval(result: MfResult, initial_samples: np.ndarray,
     ctx = (result.maps_lf if use_lf else result.maps_mf)[0].ctx
     order = np.argsort(assign, kind="stable")
     out = np.empty_like(xs)
-    rows = max(1, min(_BLOCK_ENTRIES // ctx.size, _PRODUCT_MACS // coeffs[0].size))
+    rows = max(1, _BLOCK_ENTRIES // ctx.size)
     for a in range(0, order.size, rows):
         idx = order[a:a + rows]
         pts = xs[idx]
