@@ -548,12 +548,19 @@ class FrameModel:
     def is_identity(self) -> bool:
         return np.array_equal(self.rotation, np.eye(3))
 
+    def to_theory(self, values, inverse: bool = False) -> list:
+        """Cartesian 6-vector into the theory frame, or out of it if ``inverse``.
 
-def _rotate3(mat: np.ndarray, vec3):
-    return [
-        mat[i, 0] * vec3[0] + mat[i, 1] * vec3[1] + mat[i, 2] * vec3[2]
-        for i in range(3)
-    ]
+        Floats and polynomials alike; the identity model returns the values
+        unchanged.
+        """
+        if self.is_identity:
+            return list(values)
+        mat = self.rotation.T if inverse else self.rotation
+        return [
+            mat[i, 0] * values[k] + mat[i, 1] * values[k + 1] + mat[i, 2] * values[k + 2]
+            for k in (0, 3) for i in range(3)
+        ]
 
 
 def frame_transform(state: OrbitState, direction: str, model: FrameModel) -> OrbitState:
@@ -562,10 +569,5 @@ def frame_transform(state: OrbitState, direction: str, model: FrameModel) -> Orb
         raise ValueError("frame transformations apply to cartesian states")
     if direction not in ("to_teme", "from_teme"):
         raise ValueError(f"unknown direction {direction!r}")
-    if model.is_identity:
-        return OrbitState(state.elements, state.epoch, list(state.values),
-                          state.mu, state.flags)
-    mat = model.rotation if direction == "to_teme" else model.rotation.T
-    r = _rotate3(mat, state.values[:3])
-    v = _rotate3(mat, state.values[3:])
-    return OrbitState(state.elements, state.epoch, r + v, state.mu, state.flags)
+    values = model.to_theory(state.values, inverse=direction == "from_teme")
+    return OrbitState(state.elements, state.epoch, values, state.mu, state.flags)

@@ -1,12 +1,13 @@
 """High-fidelity numerical propagation in cartesian and modified equinoctial form.
 
 ``propagate_hf`` advances cartesian states: float vectors, (N, 6) sample
-batches (per-sample adaptive stepping) or polynomial states (constant-part
-step control, same step sequence as the matching float run).  The modified
-equinoctial route integrates the Gauss variational equations with the true
-longitude as fast variable and exists mainly to cross-check the cartesian
-formulation; the multifidelity pipeline always corrects kernels in cartesian
-space.
+batches (per-sample adaptive stepping) or polynomial states (replayed on the
+accepted steps of a one-row float shadow, so their nominal is the float
+run's).  All of them go through one right-hand side over (N, 6) arrays.
+The modified equinoctial route integrates the Gauss variational equations
+with the true longitude as fast variable and exists mainly to cross-check the
+cartesian formulation; the multifidelity pipeline always corrects kernels in
+cartesian space.
 """
 
 from __future__ import annotations
@@ -29,21 +30,26 @@ __all__ = [
 
 
 def make_cartesian_rhs(cfg: ForceConfig, sc: SpacecraftParams):
-    """State derivative (r, v) -> (v, a) usable in batch, scalar and DA modes."""
+    """State derivative (r, v) -> (v, a) of (N,) times and (N, 6) states.
+
+    The states are floats, or an object array of polynomials in DA mode.  A
+    one-row batch is evaluated on that row's scalars: the force model makes
+    about a hundred numpy calls, whose overhead on (1,) arrays costs several
+    times the arithmetic.
+    """
 
     def rhs(t, y):
-        if isinstance(y, np.ndarray) and y.dtype != object:
-            r3 = [y[..., 0], y[..., 1], y[..., 2]]
-            v3 = [y[..., 3], y[..., 4], y[..., 5]]
-            ax, ay, az = acceleration(t, r3, v3, cfg, sc)
-            out = np.empty_like(y)
-            out[..., 0:3] = y[..., 3:6]
-            out[..., 3] = ax
-            out[..., 4] = ay
-            out[..., 5] = az
-            return out
-        a = acceleration(t, y[:3], y[3:], cfg, sc)
-        return [y[3], y[4], y[5], a[0], a[1], a[2]]
+        if y.shape[0] == 1:
+            row = y[0].tolist()
+            acc = acceleration(float(t[0]), row[:3], row[3:], cfg, sc)
+        else:
+            acc = acceleration(t, [y[:, 0], y[:, 1], y[:, 2]],
+                               [y[:, 3], y[:, 4], y[:, 5]], cfg, sc)
+        out = np.empty_like(y)
+        out[:, 0:3] = y[:, 3:6]
+        for j in range(3):
+            out[:, 3 + j] = acc[j]
+        return out
 
     return rhs
 
@@ -74,9 +80,8 @@ def propagate_hf(state, t0_s: float, t_s: float,
         return integrate_da(rhs, 0.0, list(state), span, icfg)
     arr = np.asarray(state, dtype=np.float64)
     if arr.ndim == 1:
-        # single states run the pure-float loop (the same stream that steers
-        # DA propagation), not the vectorized batch path
-        return np.array(integrate_single(rhs, 0.0, list(arr), span, icfg))
+        # a single state is the one-row batch that also steers DA propagation
+        return integrate_single(rhs, 0.0, arr, span, icfg)
     return integrate_batch(rhs, 0.0, arr, span, icfg)
 
 

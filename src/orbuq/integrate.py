@@ -4,19 +4,24 @@ The default pair is the 13-stage Dormand-Prince 8(5,3) scheme with its
 combined fifth/third-order error estimate; the classic 5(4) pair is available
 as a fallback.  Tableau constants are the published Hairer coefficients.
 
-Three operating modes share the stepping logic:
+One stepping core serves every mode.  ``_step`` takes one explicit step of an
+(N, d) state array with one step size per row, and every stage is
+``_combine``'s ``y + sum_j (h a_ij) k_j``, so the same code advances float
+arrays and object arrays of polynomials:
 
-* batch - states of shape (N, d) advance with *per-sample* time, step size
-  and accept/reject decisions.  Every arithmetic stream is element-wise, so a
-  sample's trajectory is bit-identical regardless of how the batch is chunked
-  (thread-count invariance) and a single state is just N = 1.
+* ``integrate_batch`` - the adaptive loop: (N, d) float states advance with
+  per-row time, step size and accept/reject decisions.  A row's arithmetic
+  does not depend on the other rows, except that vectorised reductions may
+  round differently for another row count, so results are deterministic for
+  a fixed partition into batches.  ``integrate_single`` is the N = 1 call.
 
-* DA - a polynomial state advances alongside a float shadow copy of its
-  constant part; the shadow alone drives step control, so the accepted step
-  sequence is exactly the one a plain float run of the nominal state produces.
-  Polynomial stages are only evaluated on accepted steps.
+* ``integrate_da`` - a one-row float shadow of the constant part runs the
+  adaptive loop; each step it accepts is replayed on the polynomial state,
+  whose constant part is then pinned to the shadow.  The step sequence and the
+  nominal are therefore exactly those of ``integrate_single``.
 
-* fixed-step - no error control, used for order verification.
+* ``integrate_fixed`` - constant steps without error control, used for order
+  verification.
 """
 
 from __future__ import annotations
@@ -33,9 +38,6 @@ __all__ = ["IntegratorConfig", "integrate_batch", "integrate_da",
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-# |error / scale| below _ROOT_MAX / d keeps a d-term sum of squares, times d,
-# finite in float64
-_ROOT_MAX = 0.5 * math.sqrt(np.finfo(np.float64).max)
 
 
 class _Dp8:
@@ -169,32 +171,46 @@ def _initial_step(f, t0, y, f0, direction, cfg):
     return np.where(np.isfinite(h) & (h > 0.0), h, np.maximum(cfg.min_step, 1e-6))
 
 
-def integrate_batch(f: Callable, t0: float, y0: np.ndarray, t_end: float,
-                    cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """Advance an (N, d) batch from t0 to t_end with per-sample step control.
+def _combine(y, hs, weights, ks):
+    """``y + sum_j (hs * w_j) * k_j`` over the nonzero weights ``w_j``.
 
-    ``f(t_vec, y)`` must map an (N,) time vector and (N, d) states to (N, d)
-    derivatives element-wise per row.
+    ``hs`` holds one step per row of ``y``.  The sum starts from zero and runs
+    in stage order; ``y`` and the ``k_j`` may be float arrays or object arrays
+    of polynomials.
+    """
+    acc = 0.0
+    for w, k in zip(weights, ks):
+        if w != 0.0:
+            acc = acc + (hs * w)[:, None] * k
+    return y + acc
+
+
+def _step(f, t, hs, y, k0, scheme):
+    """One explicit step from (t, y) whose first stage is ``k0``.
+
+    Returns the stage derivatives and the new state.
+    """
+    ks = [k0]
+    for i in range(1, scheme.n_stages):
+        ks.append(f(t + scheme.c[i] * hs, _combine(y, hs, scheme.a_rows[i], ks)))
+    return ks, _combine(y, hs, scheme.b, ks)
+
+
+def _adaptive(f: Callable, t0: float, y: np.ndarray, t_end: float,
+              cfg: IntegratorConfig, on_accept: Callable | None = None) -> None:
+    """Advance (N, d) float states in place from t0 to t_end.
+
+    ``on_accept(t, hs, y_new)`` sees the rows accepted in each step, before
+    they advance, so a caller can replay the same (t, h) sequence.
     """
     scheme = cfg.scheme
-    y = np.array(y0, dtype=np.float64, copy=True)
-    single = y.ndim == 1
-    if single:
-        y = y[None, :]
-    n, d = y.shape
-    if t_end == t0:
-        return y[0] if single else y
+    n = y.shape[0]
     direction = 1.0 if t_end > t0 else -1.0
     t = np.full(n, float(t0))
     f0 = f(t, y)
     h = _initial_step(f, t0, y, f0, direction, cfg)
     active = np.ones(n, dtype=bool)
     fsal = f0  # first stage of the next step for every sample
-
-    nstage = scheme.n_stages
-    a_rows = scheme.a_rows
-    b = scheme.b
-    c = scheme.c
 
     while active.any():
         idx = np.nonzero(active)[0]
@@ -209,25 +225,14 @@ def integrate_batch(f: Callable, t0: float, y0: np.ndarray, t_end: float,
             )
         hs = direction * ha
 
-        big_k = np.empty((nstage + 1, idx.size, d))
-        big_k[0] = fsal[idx]
-        for i in range(1, nstage):
-            acc = np.zeros_like(ya)
-            row = a_rows[i]
-            for j in range(len(row)):
-                if row[j] != 0.0:
-                    acc = acc + (hs * row[j])[:, None] * big_k[j]
-            big_k[i] = f(ta + c[i] * hs, ya + acc)
-        acc = np.zeros_like(ya)
-        for j in range(nstage):
-            if b[j] != 0.0:
-                acc = acc + (hs * b[j])[:, None] * big_k[j]
-        y_new = ya + acc
+        ks, y_new = _step(f, ta, hs, ya, fsal[idx], scheme)
         t_new = np.where(lands, t_end, ta + hs)
-        big_k[nstage] = f(t_new, y_new)
+        ks.append(f(t_new, y_new))
 
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(ya), np.abs(y_new))
-        err = scheme.error_norm(big_k, ha, scale)
+        # an estimate that overflows is infinite: the step is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = scheme.error_norm(np.array(ks), ha, scale)
         err = np.where(np.isfinite(err), err, np.inf)
 
         accept = err <= 1.0
@@ -236,190 +241,60 @@ def integrate_batch(f: Callable, t0: float, y0: np.ndarray, t_end: float,
         factor = np.clip(factor, _MIN_FACTOR, _MAX_FACTOR)
         factor = np.where(accept, factor, np.minimum(factor, 1.0))
 
+        if on_accept is not None and accept.any():
+            on_accept(ta[accept], hs[accept], y_new[accept])
         acc_idx = idx[accept]
         y[acc_idx] = y_new[accept]
         t[acc_idx] = t_new[accept]
-        fsal[acc_idx] = big_k[nstage][accept]
+        fsal[acc_idx] = ks[-1][accept]
         h[idx] = np.minimum(ha * factor, cfg.max_step)
         active[idx[accept & lands]] = False
 
+
+def integrate_batch(f: Callable, t0: float, y0: np.ndarray, t_end: float,
+                    cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
+    """Advance an (N, d) batch, or one d-vector, from t0 to t_end.
+
+    ``f(t_vec, y)`` must map an (N,) time vector and (N, d) states to (N, d)
+    derivatives element-wise per row.
+    """
+    y = np.array(y0, dtype=np.float64, copy=True)
+    single = y.ndim == 1
+    if single:
+        y = y[None, :]
+    if t_end != t0:
+        _adaptive(f, t0, y, t_end, cfg)
     return y[0] if single else y
 
 
-def _single_error_norm(scheme, big_k, ha, scale, d):
-    """Error norm of one step over plain float lists.
-
-    A non-finite error component, or one large enough that the sum of
-    squares could overflow, makes the norm infinite (a rejected step)
-    without computing the square; below that limit the norm is unchanged.
-    """
-    root_max = _ROOT_MAX / d
-    if scheme is _Dp8:
-        e5sq = 0.0
-        e3sq = 0.0
-        for m in range(d):
-            s5 = 0.0
-            s3 = 0.0
-            for i in range(len(scheme.e5)):
-                s5 += scheme.e5[i] * big_k[i][m]
-                s3 += scheme.e3[i] * big_k[i][m]
-            if not (abs(s5) <= root_max * scale[m] and abs(s3) <= root_max * scale[m]):
-                return math.inf
-            e5sq += (s5 / scale[m]) ** 2
-            e3sq += (s3 / scale[m]) ** 2
-        denom = e5sq + 0.01 * e3sq
-        if denom <= 0.0:
-            return 0.0
-        return ha * e5sq / math.sqrt(denom * d)
-    acc = 0.0
-    for m in range(d):
-        s = 0.0
-        for i in range(len(scheme.e)):
-            s += scheme.e[i] * big_k[i][m]
-        if not abs(s) <= root_max * scale[m]:
-            return math.inf
-        acc += (s / scale[m]) ** 2
-    return ha * math.sqrt(acc / d)
-
-
-def _single_core(f: Callable, t0: float, y0: Sequence[float], t_end: float,
-                 cfg: IntegratorConfig, on_accept: Callable | None = None
-                 ) -> list[float]:
-    """Adaptive loop over plain float lists (the scalar and DA-shadow engine).
-
-    ``on_accept(t, hs)`` fires after each accepted step, before the float
-    state advances, so a caller can mirror the step onto another
-    representation with the same (t, h) sequence.
-    """
-    scheme = cfg.scheme
-    y = [float(v) for v in y0]
-    d = len(y)
-    if t_end == t0:
-        return y
-    direction = 1.0 if t_end > t0 else -1.0
-    t = float(t0)
-    f0 = [float(v) for v in f(t, y)]
-
-    def f_flat(tv, ym):
-        out = np.empty_like(ym)
-        for r in range(ym.shape[0]):
-            out[r] = f(float(tv[r]), [float(v) for v in ym[r]])
-        return out
-
-    h = float(
-        _initial_step(f_flat, t0, np.array(y)[None, :], np.array(f0)[None, :],
-                      direction, cfg)[0]
-    )
-    nstage = scheme.n_stages
-    a_rows = [list(map(float, row)) for row in scheme.a_rows]
-    b = list(map(float, scheme.b))
-    c = list(map(float, scheme.c))
-    fsal = f0
-
-    finished = False
-    while not finished:
-        remaining = abs(t_end - t)
-        lands = h >= remaining
-        ha = remaining if lands else h
-        if ha < cfg.min_step or not math.isfinite(ha):
-            raise RuntimeError(f"step size underflow ({ha:.3e} s) at t={t:.6f}")
-        hs = direction * ha
-
-        big_k = [fsal]
-        for i in range(1, nstage):
-            row = a_rows[i]
-            yi = list(y)
-            for j in range(len(row)):
-                if row[j] != 0.0:
-                    w = hs * row[j]
-                    kj = big_k[j]
-                    for m in range(d):
-                        yi[m] += w * kj[m]
-            big_k.append([float(v) for v in f(t + c[i] * hs, yi)])
-        y_new = list(y)
-        for j in range(nstage):
-            if b[j] != 0.0:
-                w = hs * b[j]
-                kj = big_k[j]
-                for m in range(d):
-                    y_new[m] += w * kj[m]
-        big_k.append([float(v) for v in f(t + hs, y_new)])
-
-        scale = [
-            cfg.abs_tol + cfg.rel_tol * max(abs(y[m]), abs(y_new[m]))
-            for m in range(d)
-        ]
-        err = _single_error_norm(scheme, big_k, ha, scale, d)
-        if not math.isfinite(err):
-            err = math.inf
-        accept = err <= 1.0
-        factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**scheme.error_exponent
-        factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
-        if not accept:
-            factor = min(factor, 1.0)
-
-        if accept:
-            if on_accept is not None:
-                on_accept(t, hs, y_new)
-            y = y_new
-            fsal = big_k[nstage]
-            t = t_end if lands else t + hs
-            finished = lands
-        h = min(ha * factor, cfg.max_step)
-    return y
-
-
 def integrate_single(f: Callable, t0: float, y0: Sequence[float], t_end: float,
-                     cfg: IntegratorConfig = IntegratorConfig()) -> list[float]:
-    """Advance one float state; pure-Python arithmetic throughout."""
-    return _single_core(f, t0, y0, t_end, cfg)
+                     cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
+    """Advance one float d-vector: the one-row case of ``integrate_batch``."""
+    return integrate_batch(f, t0, np.ravel(y0), t_end, cfg)
 
 
 def integrate_da(f: Callable, t0: float, y0_polys: Sequence, t_end: float,
                  cfg: IntegratorConfig = IntegratorConfig()) -> list:
-    """Advance a polynomial state; a float shadow of the constant part drives
-    step control, so the accepted (t, h) sequence is exactly the scalar one.
+    """Advance a polynomial state on the accepted steps of its float shadow.
 
-    ``f(t, y_list) -> deriv_list`` must accept both float and polynomial
-    component lists.  After every accepted step the polynomial constants are
-    pinned to the shadow trajectory, which keeps the nominal bit-identical to
-    a plain scalar run while the higher coefficients carry the expansion.
+    The shadow is the constant part as a one-row batch, so the accepted
+    (t, h) sequence and the nominal are those of ``integrate_single``.  Each
+    accepted step is replayed on a (1, d) object array of the polynomials,
+    after which their constant parts are pinned to the shadow's, while the
+    higher coefficients carry the expansion.  ``f(t, y)`` must accept (1,)
+    times with (1, d) float or object states.
     """
-    yp = list(y0_polys)
     if t_end == t0:
-        return yp
-    scheme = cfg.scheme
-    nstage = scheme.n_stages
-    a_rows = [list(map(float, row)) for row in scheme.a_rows]
-    b = list(map(float, scheme.b))
-    c = list(map(float, scheme.c))
+        return list(y0_polys)
+    yp = np.array([list(y0_polys)], dtype=object)
 
-    def advance_polys(t, hs, y_new_floats):
+    def replay(t, hs, y_new):
         nonlocal yp
-        kp = [f(t, yp)]
-        for i in range(1, nstage):
-            row = a_rows[i]
-            acc = None
-            for j in range(len(row)):
-                if row[j] == 0.0:
-                    continue
-                term = [(hs * row[j]) * kj for kj in kp[j]]
-                acc = term if acc is None else [a + t_ for a, t_ in zip(acc, term)]
-            yi = yp if acc is None else [a + t_ for a, t_ in zip(yp, acc)]
-            kp.append(f(t + c[i] * hs, yi))
-        acc = None
-        for j in range(nstage):
-            if b[j] == 0.0:
-                continue
-            term = [(hs * b[j]) * kj for kj in kp[j]]
-            acc = term if acc is None else [a + t_ for a, t_ in zip(acc, term)]
-        yp = [p + t_ for p, t_ in zip(yp, acc)]
-        # pin the constant part to the shadow's float stream
-        yp = [p - p.const + float(v) for p, v in zip(yp, y_new_floats)]
+        _, yp = _step(f, t, hs, yp, f(t, yp), cfg.scheme)
+        yp = yp - np.array([[p.const for p in yp[0]]]) + y_new
 
-    y0c = [p.const for p in yp]
-    _single_core(f, t0, y0c, t_end, cfg, on_accept=advance_polys)
-    return yp
+    _adaptive(f, t0, np.array([[p.const for p in y0_polys]]), t_end, cfg, on_accept=replay)
+    return list(yp[0])
 
 
 def integrate_fixed(f: Callable, t0: float, y0: np.ndarray, t_end: float,
@@ -431,22 +306,8 @@ def integrate_fixed(f: Callable, t0: float, y0: np.ndarray, t_end: float,
     if single:
         y = y[None, :]
     t = np.full(y.shape[0], float(t0))
-    hs = (t_end - t0) / n_steps
-    nstage = scheme.n_stages
+    hs = np.full(y.shape[0], (t_end - t0) / n_steps)
     for _ in range(n_steps):
-        big_k = []
-        big_k.append(f(t, y))
-        for i in range(1, nstage):
-            acc = np.zeros_like(y)
-            row = scheme.a_rows[i]
-            for j in range(len(row)):
-                if row[j] != 0.0:
-                    acc = acc + (hs * row[j]) * big_k[j]
-            big_k.append(f(t + scheme.c[i] * hs, y + acc))
-        acc = np.zeros_like(y)
-        for j in range(nstage):
-            if scheme.b[j] != 0.0:
-                acc = acc + (hs * scheme.b[j]) * big_k[j]
-        y = y + acc
+        _, y = _step(f, t, hs, y, f(t, y), scheme)
         t = t + hs
     return y[0] if single else y

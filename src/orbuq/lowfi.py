@@ -221,27 +221,12 @@ def lf_target(theory, t0_s: float, t_s: float, element_set: ElementSet, mu: floa
     native frame, inverts to mean elements at t0, propagates to t, rotates
     back and re-extracts elements.  It accepts a DAVector or a plain 6-sequence.
     """
-    rot = theory.frame.rotation
-    identity = theory.frame.is_identity
-
-    def rotate(vals, mat):
-        r = [
-            mat[i, 0] * vals[0] + mat[i, 1] * vals[1] + mat[i, 2] * vals[2]
-            for i in range(3)
-        ]
-        v = [
-            mat[i, 0] * vals[3] + mat[i, 1] * vals[4] + mat[i, 2] * vals[5]
-            for i in range(3)
-        ]
-        return r + v
+    frame = theory.frame
 
     def target(state):
-        vals = list(state)
-        cart, _ = convert_values(vals, element_set, CARTESIAN, mu)
-        teme = cart if identity else rotate(cart, rot)
-        mean = osc_to_mean(theory, t0_s, teme, eps_max=eps_max, i_max=i_max)
-        teme_t = theory.propagate_mean(mean, t_s)
-        cart_t = teme_t if identity else rotate(teme_t, rot.T)
+        cart, _ = convert_values(list(state), element_set, CARTESIAN, mu)
+        mean = osc_to_mean(theory, t0_s, frame.to_theory(cart), eps_max=eps_max, i_max=i_max)
+        cart_t = frame.to_theory(theory.propagate_mean(mean, t_s), inverse=True)
         out, _ = convert_values(cart_t, CARTESIAN, element_set, mu)
         if isinstance(state, DAVector):
             return DAVector(out)

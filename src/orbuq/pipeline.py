@@ -286,19 +286,26 @@ def _box_coordinates(points: np.ndarray, mean: np.ndarray, eigvecs: np.ndarray,
     return np.divide(d, amp, out=np.zeros_like(d), where=amp > 0.0)
 
 
-def _ut_through_map(domain: Domain, mapped: DAVector, kappa: float, ci: float):
-    """Unscented moments of one kernel pushed through its Taylor map."""
-    sigma = ut_sigma(domain.kernel, kappa)
-    boxes = _box_coordinates(sigma.points, domain.kernel.mean, domain.eigvecs,
-                             ci * np.sqrt(domain.eigvals))
-    ys = mapped.eval_many(boxes)
-    return reconstruct_moments(ys, sigma.weights)
+def _kernel_moments(domain: Domain, mapped: DAVector, kappa: float, ci: float):
+    """Unscented moments of one kernel pushed through its Taylor map.
 
+    A covariance that is not PSD is recomputed with kappa = 0; the result is
+    then clamped PSD and symmetrised.  Returns (mean, cov, fell_back).
+    """
+    def through_map(kap):
+        sigma = ut_sigma(domain.kernel, kap)
+        boxes = _box_coordinates(sigma.points, domain.kernel.mean, domain.eigvecs,
+                                 ci * np.sqrt(domain.eigvals))
+        return reconstruct_moments(mapped.eval_many(boxes), sigma.weights)
 
-def _moments_psd_ok(cov: np.ndarray) -> bool:
+    mean, cov = through_map(kappa)
     lam = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    scale = max(lam.max(), 0.0)
-    return lam.min() >= -1e-12 * max(scale, 1.0)
+    fell_back = not lam.min() >= -1e-12 * max(lam.max(), 1.0)
+    if fell_back:
+        mean, cov = through_map(0.0)
+    lam, vec = spectral_factors(cov)  # clamps the tiny negative residue
+    cov = (vec * lam) @ vec.T
+    return mean, 0.5 * (cov + cov.T), fell_back
 
 
 def _mixture_from_maps(inputs: Manifold, maps: Sequence[DAVector], ci: float,
@@ -306,13 +313,10 @@ def _mixture_from_maps(inputs: Manifold, maps: Sequence[DAVector], ci: float,
     kernels = []
     fallback = []
     for i, (dom, mp) in enumerate(zip(inputs, maps)):
-        mean, cov = _ut_through_map(dom, mp, kappa_default, ci)
-        if not _moments_psd_ok(cov):
-            mean, cov = _ut_through_map(dom, mp, 0.0, ci)
+        mean, cov, fell_back = _kernel_moments(dom, mp, kappa_default, ci)
+        if fell_back:
             fallback.append(i)
-        lam, vec = spectral_factors(cov)  # clamps the tiny negative residue
-        cov = (vec * lam) @ vec.T
-        kernels.append(GaussianKernel(dom.weight, mean, 0.5 * (cov + cov.T)))
+        kernels.append(GaussianKernel(dom.weight, mean, cov))
     return GaussianMixture(tuple(kernels)), fallback
 
 
@@ -333,24 +337,13 @@ def shift_tle(theory, t1_s: float, mu_hf_set: np.ndarray, lf_map_set: DAVector,
     (high-fidelity constants, low-fidelity deviations), and map back through a
     zero-length theory propagation.
     """
-    rot = theory.frame
-    # polynomials: set -> cartesian -> theory frame
+    frame = theory.frame
     cart_map, _ = convert_values(list(lf_map_set), element_set, CARTESIAN, mu)
-    if not rot.is_identity:
-        mat = rot.rotation
-        r = [mat[i, 0] * cart_map[0] + mat[i, 1] * cart_map[1] + mat[i, 2] * cart_map[2]
-             for i in range(3)]
-        v = [mat[i, 0] * cart_map[3] + mat[i, 1] * cart_map[4] + mat[i, 2] * cart_map[5]
-             for i in range(3)]
-        cart_map = r + v
-    mean_map = osc_to_mean(theory, t1_s, cart_map, eps_max=eps_max, i_max=i_max)
-
+    mean_map = osc_to_mean(theory, t1_s, frame.to_theory(cart_map), eps_max=eps_max,
+                           i_max=i_max)
     mu_cart, _ = convert_values(list(mu_hf_set), element_set, CARTESIAN, mu)
-    if not rot.is_identity:
-        mu_cart = list(rot.rotation @ np.asarray(mu_cart[:3])) + list(
-            rot.rotation @ np.asarray(mu_cart[3:])
-        )
-    mean_hf = osc_to_mean(theory, t1_s, list(mu_cart), eps_max=eps_max, i_max=i_max)
+    mean_hf = osc_to_mean(theory, t1_s, frame.to_theory(mu_cart), eps_max=eps_max,
+                          i_max=i_max)
 
     shifted_mean = MeanElements(
         theory.name, t1_s,
@@ -358,14 +351,7 @@ def shift_tle(theory, t1_s: float, mu_hf_set: np.ndarray, lf_map_set: DAVector,
         bstar=mean_map.bstar,
     )
     teme = theory.propagate_mean(shifted_mean, t1_s)
-    if not rot.is_identity:
-        mat = rot.rotation.T
-        r = [mat[i, 0] * teme[0] + mat[i, 1] * teme[1] + mat[i, 2] * teme[2]
-             for i in range(3)]
-        v = [mat[i, 0] * teme[3] + mat[i, 1] * teme[4] + mat[i, 2] * teme[5]
-             for i in range(3)]
-        teme = r + v
-    out, _ = convert_values(teme, CARTESIAN, element_set, mu)
+    out, _ = convert_values(frame.to_theory(teme, inverse=True), CARTESIAN, element_set, mu)
     return DAVector(out)
 
 
@@ -387,11 +373,7 @@ def _conversion_stage(scenario: Scenario, root: Domain, lib: SplitLibrary):
     roots = []
     kernels = []
     for dom, img in zip(m_in, m_out):
-        mean, cov = _ut_through_map(dom, img.state, kappa, scenario.ci)
-        if not _moments_psd_ok(cov):
-            mean, cov = _ut_through_map(dom, img.state, 0.0, scenario.ci)
-        lam, vec = spectral_factors(cov)
-        cov = 0.5 * ((vec * lam) @ vec.T + ((vec * lam) @ vec.T).T)
+        mean, cov, _ = _kernel_moments(dom, img.state, kappa, scenario.ci)
         roots.append(initial_domain(mean, cov, scenario.ci, weight=dom.weight))
         kernels.append(GaussianKernel(dom.weight, mean, cov))
     return roots, GaussianMixture(tuple(kernels))
@@ -496,10 +478,6 @@ def mf_propagate(scenario: Scenario, threads: int = 1,
     # pointwise high-fidelity correction of every kernel mean
     tic = time.perf_counter()
     means_cart = _rows_to_cartesian(np.array([d.kernel.mean for d in inputs]), eset, mu)
-    tic_single = time.perf_counter()
-    _ = propagate_hf(means_cart[0], t0_s, t1_s, scenario.force,
-                     scenario.integrator, scenario.spacecraft)
-    timings["t_pw_hf_s"] = time.perf_counter() - tic_single
     prop_cart = batch_propagate_chunked(
         means_cart, t0_s, t1_s, scenario.force, scenario.integrator,
         scenario.spacecraft, threads=threads,
@@ -742,18 +720,27 @@ def normalized_lam(results: dict[float, MfResult], propagated_samples: np.ndarra
 
 def runtime_report(result: MfResult, t_da_hf_s: float | None = None,
                    measure_da_hf: bool = False) -> dict:
-    """Per-kernel timing model and the multifidelity speedup estimate."""
+    """Per-kernel timing model and the multifidelity speedup estimate.
+
+    ``t_pw_hf_s`` is measured here: one float high-fidelity propagation of
+    kernel 0's cartesian mean over the scenario span.
+    """
     scenario = result.scenario
+    t0_s = scenario.epoch_s
+    t1_s = t0_s + scenario.duration_s
+    mean0 = _rows_to_cartesian(np.atleast_2d(result.inputs[0].kernel.mean),
+                               result.element_set, scenario.mu)[0]
+    tic = time.perf_counter()
+    propagate_hf(mean0, t0_s, t1_s, scenario.force, scenario.integrator, scenario.spacecraft)
+    t_pw_hf = time.perf_counter() - tic
     if measure_da_hf and t_da_hf_s is None:
         mu0, p0 = scenario.initial_cartesian()
         dom = initial_domain(mu0, p0, scenario.ci)
         tic = time.perf_counter()
-        propagate_hf(dom.state, scenario.epoch_s,
-                     scenario.epoch_s + scenario.duration_s,
+        propagate_hf(dom.state, t0_s, t1_s,
                      scenario.force, scenario.integrator, scenario.spacecraft)
         t_da_hf_s = time.perf_counter() - tic
     t_da_lf = result.timings["t_da_lf_s"]
-    t_pw_hf = result.timings["t_pw_hf_s"]
     t_mf = t_da_lf + t_pw_hf
     report = {
         "n_kernels": result.n_kernels,

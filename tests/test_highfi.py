@@ -255,13 +255,20 @@ class TestPropagateHf:
         assert 7.5 < slope < 8.5
 
     def test_da_constant_part_matches_scalar(self):
+        # the DA constant part, the 1-D state and the one-row batch are one
+        # float stream: J2 over a period, and the full force model (gravity
+        # 8x8, Sun, Moon, drag, SRP) over 0.2 LEO periods
+        full = ForceConfig(drag=True, srp=True)
         y0 = np.array([6800.0, 0.0, 100.0, 0.0, math.sqrt(MU / 6800.0), 0.2])
-        t_end = period(6800.0)
-        scalar_end = propagate_hf(y0, 0.0, t_end, J2_ONLY)
         ctx = AlgebraContext(2, 6)
         state = DAVector.affine(ctx, y0, np.diag([1, 1, 1, 1e-3, 1e-3, 1e-3]))
-        da_end = propagate_hf(state, 0.0, t_end, J2_ONLY)
-        assert np.abs(da_end.constant_part() - scalar_end).max() < 1e-9
+        for cfg, t0, span in ((J2_ONLY, 0.0, period(6800.0)),
+                              (full, EPOCH_2021, 0.2 * period(6800.0))):
+            scalar_end = propagate_hf(y0, t0, t0 + span, cfg)
+            row_end = propagate_hf(y0[None, :], t0, t0 + span, cfg)
+            da_end = propagate_hf(state, t0, t0 + span, cfg)
+            np.testing.assert_array_equal(row_end[0], scalar_end)
+            np.testing.assert_array_equal(da_end.constant_part(), scalar_end)
 
     def test_da_first_order_matches_finite_differences(self):
         y0 = np.array([7000.0, 0, 0, 0, math.sqrt(MU / 7000.0), 0])
@@ -295,6 +302,9 @@ class TestPropagateHf:
             [propagate_hf(batch[i : i + 2], EPOCH_2021, t_end, cfg) for i in (0, 2, 4)]
         )
         np.testing.assert_allclose(parts, whole, rtol=0, atol=5e-4)
+        rows = np.vstack([propagate_hf(batch[i : i + 1], EPOCH_2021, t_end, cfg)
+                          for i in range(6)])
+        np.testing.assert_allclose(rows, whole, rtol=0, atol=5e-4)
 
     def test_zero_duration(self):
         y0 = np.array([7000.0, 0, 0, 0, 7.5, 0])

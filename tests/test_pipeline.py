@@ -14,6 +14,7 @@ from orbuq.elements import (
     CARTESIAN,
     EQUINOCTIAL_L,
     EQUINOCTIAL_LAM,
+    FrameModel,
     convert_values,
 )
 from orbuq.forces import ForceConfig
@@ -148,8 +149,25 @@ class TestMfPropagate:
         assert stage.inputs.total_weight() == pytest.approx(1.0, abs=1e-12)
 
     def test_timings_recorded(self, identity_result):
-        for key in ("t_da_lf_s", "t_pw_hf_s", "t_loads_s", "t_total_s"):
+        for key in ("t_da_lf_s", "t_loads_s", "t_hf_correction_s", "t_total_s"):
             assert identity_result.timings[key] >= 0.0
+        # the single-kernel HF time is measured by runtime_report, on request
+        assert "t_pw_hf_s" not in identity_result.timings
+
+    def test_one_propagation_per_chunk(self, monkeypatch):
+        # the kernel means are corrected in _CHUNK-row batches and nothing
+        # else is propagated
+        calls = []
+        propagate_hf = pipeline.propagate_hf
+
+        def counted(state, *args, **kwargs):
+            calls.append(np.shape(state))
+            return propagate_hf(state, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "propagate_hf", counted)
+        res = mf_propagate(kepler_identity_scenario(periods=0.2))
+        assert len(calls) == math.ceil(res.n_kernels / pipeline._CHUNK)
+        assert sum(shape[0] for shape in calls) == res.n_kernels
 
 
 class TestShiftTle:
@@ -181,6 +199,27 @@ class TestShiftTle:
         target[:3] += 1e-3 * vhat  # one meter along track
         shifted = shift_tle(th, t1, target, lf_map, CARTESIAN, mu)
         assert np.abs(shifted.constant_part()[:3] - target[:3]).max() < 1e-9
+
+    def test_rotated_z_frame_matches_identity(self):
+        # J2 is axisymmetric, so a theory frame turned about z changes the
+        # LF map and the shift only by roundoff
+        th = 0.3
+        rot = np.array([[math.cos(th), -math.sin(th), 0.0],
+                        [math.sin(th), math.cos(th), 0.0],
+                        [0.0, 0.0, 1.0]])
+        mu = 398600.4355
+        theories = (KeplerJ2Theory(mu=mu), KeplerJ2Theory(mu=mu, frame=FrameModel(rot, "z")))
+        sc = kepler_identity_scenario(ic_kepler=(7000.0, 0.05, 40.0, 20.0, 30.0, 10.0))
+        mu0, p0 = sc.initial_cartesian()
+        dom = initial_domain(mu0, p0, ci=3.0)
+        t1 = sc.epoch_s + sc.duration_s
+        plain, turned = (lf_target(th, sc.epoch_s, t1, CARTESIAN, mu)(dom.state)
+                         for th in theories)
+        target = plain.constant_part() + np.array([1e-3, -2e-3, 1e-3, 1e-6, 0.0, -1e-6])
+        shifted = [shift_tle(th, t1, target, plain, CARTESIAN, mu) for th in theories]
+        for a_map, b_map in ((turned, plain), tuple(shifted)):
+            for a, b in zip(a_map, b_map):
+                assert np.abs(a.c - b.c).max() <= 1e-13 * np.abs(b.c).max()
 
 
 class TestMcReference:
@@ -435,9 +474,15 @@ class TestAngleAlignment:
 
 
 class TestRuntimeReport:
-    def test_equal_timings_unit_speedup(self, identity_result):
-        rep = runtime_report(identity_result, t_da_hf_s=identity_result.timings["t_da_lf_s"]
-                             + identity_result.timings["t_pw_hf_s"])
+    def test_equal_timings_unit_speedup(self, identity_result, monkeypatch):
+        # a clock that advances 0.25 s per reading makes the single-kernel
+        # HF propagation that runtime_report times take exactly 0.25 s
+        ticks = iter(np.arange(0.0, 100.0, 0.25))
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        t_da_lf = identity_result.timings["t_da_lf_s"]
+        rep = runtime_report(identity_result, t_da_hf_s=t_da_lf + 0.25)
+        assert rep["t_pw_hf_s"] == 0.25
+        assert rep["t_mf_per_kernel_s"] == t_da_lf + 0.25
         assert rep["speedup"] == pytest.approx(1.0, rel=1e-12)
 
     def test_report_fields(self, identity_result):
