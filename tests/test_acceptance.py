@@ -476,6 +476,29 @@ def test_criterion_10_mf_quality_leo(leo_run):
            f"wall {wall:.0f} s")
 
 
+def test_criterion_11_kernel_count_ordering(kernel_counts):
+    counts, nus = kernel_counts
+    lines = []
+    ok = True
+    for regime in ("heo", "leo", "meo"):
+        cart = counts[(regime, "cartesian")]
+        eq = counts[(regime, "equinoctial/L")]
+        alt = counts[(regime, "alternate/lambda")]
+        lines.append(f"{regime}: cart {cart}, eq/L {eq}, alt/lam {alt}")
+        if not (cart > eq >= alt):
+            ok = False
+        if regime in ("heo", "meo") and alt != 1:
+            ok = False
+    leo_cart = counts[("leo", "cartesian")]
+    if not (2187 / 3 <= leo_cart <= 2187 * 3):
+        ok = False
+    print("            kernel counts: " + "; ".join(lines))
+    print("            single-domain indices: "
+          + "; ".join(f"{k[0]}/{k[1]}={v:.3e}" for k, v in nus.items()))
+    report(11, "kernel counts ordered by representation; LEO cartesian in range",
+           ok, "; ".join(lines))
+
+
 def test_criterion_12_alpha_min_plateau(meo_alpha_study):
     results, x1 = meo_alpha_study
     curve = normalized_lam(results, x1, reference_alpha=1e-8)
@@ -500,28 +523,3 @@ def test_criterion_13_runtime_speedup(leo_run):
            f"t_DA,HF {rep['t_da_hf_s']:.2f} s vs t_MF "
            f"{rep['t_mf_per_kernel_s']:.2f} s per kernel "
            f"-> x{rep['speedup']:.1f}")
-
-
-# Criterion 11 comes last: its fixture, the eight kernel-count studies, is the
-# module's most expensive, and no other criterion needs it.
-def test_criterion_11_kernel_count_ordering(kernel_counts):
-    counts, nus = kernel_counts
-    lines = []
-    ok = True
-    for regime in ("heo", "leo", "meo"):
-        cart = counts[(regime, "cartesian")]
-        eq = counts[(regime, "equinoctial/L")]
-        alt = counts[(regime, "alternate/lambda")]
-        lines.append(f"{regime}: cart {cart}, eq/L {eq}, alt/lam {alt}")
-        if not (cart > eq >= alt):
-            ok = False
-        if regime in ("heo", "meo") and alt != 1:
-            ok = False
-    leo_cart = counts[("leo", "cartesian")]
-    if not (2187 / 3 <= leo_cart <= 2187 * 3):
-        ok = False
-    print("            kernel counts: " + "; ".join(lines))
-    print("            single-domain indices: "
-          + "; ".join(f"{k[0]}/{k[1]}={v:.3e}" for k, v in nus.items()))
-    report(11, "kernel counts ordered by representation; LEO cartesian in range",
-           ok, "; ".join(lines))
