@@ -33,9 +33,10 @@ def make_cartesian_rhs(cfg: ForceConfig, sc: SpacecraftParams):
     """State derivative (r, v) -> (v, a) of (N,) times and (N, 6) states.
 
     The states are floats, or an object array of polynomials in DA mode.  A
-    one-row batch is evaluated on that row's scalars: the force model makes
+    one-row call is evaluated on that row's scalars: the force model makes
     about a hundred numpy calls, whose overhead on (1,) arrays costs several
-    times the arithmetic.
+    times the arithmetic.  The integrator passes only the active rows, so
+    this also serves the last row of a larger batch.
     """
 
     def rhs(t, y):

@@ -11,9 +11,13 @@ arrays and object arrays of polynomials:
 
 * ``integrate_batch`` - the adaptive loop: (N, d) float states advance with
   per-row time, step size and accept/reject decisions.  A row's arithmetic
-  does not depend on the other rows, except that vectorised reductions may
-  round differently for another row count, so results are deterministic for
-  a fixed partition into batches.  ``integrate_single`` is the N = 1 call.
+  depends on the other rows in two ways only: vectorised reductions may
+  round differently for another row count, and the right-hand side sees
+  just the rows still active, so a row that ends a batch alone is evaluated
+  as a one-row call (``highfi.make_cartesian_rhs`` takes that row's scalars,
+  whose math-library results need not match numpy's array loops to the last
+  bit).  Results are deterministic for a fixed partition into batches.
+  ``integrate_single`` is the N = 1 call.
 
 * ``integrate_da`` - a one-row float shadow of the constant part runs the
   adaptive loop; each step it accepts is replayed on the polynomial state,

@@ -306,6 +306,28 @@ class TestPropagateHf:
                           for i in range(6)])
         np.testing.assert_allclose(rows, whole, rtol=0, atol=5e-4)
 
+    def test_last_active_row_matches_row_alone(self):
+        # the 6700 km row needs more steps than the 7300 km one, so it ends
+        # the batch alone and the right-hand side sees one-row calls; the
+        # batch still agrees with each row propagated by itself to
+        # integration noise (about 2e-6 km over this period)
+        cfg = ForceConfig(drag=True, srp=True)
+        batch = np.array([[6700.0, 0, 100.0, 0, math.sqrt(MU / 6700.0), 0.2],
+                          [7300.0, 0, 0, 0, 0, math.sqrt(MU / 7300.0)]])
+        span = period(6700.0)
+        base = make_cartesian_rhs(cfg, SC)
+        rows_seen = []
+
+        def rhs(tau, y):
+            rows_seen.append(y.shape[0])
+            return base(EPOCH_2021 + tau, y)
+
+        whole = integrate_batch(rhs, 0.0, batch, span)
+        assert 1 in rows_seen and 2 in rows_seen
+        alone = np.vstack([propagate_hf(row, EPOCH_2021, EPOCH_2021 + span, cfg)
+                           for row in batch])
+        np.testing.assert_allclose(whole, alone, rtol=0, atol=1e-5)
+
     def test_zero_duration(self):
         y0 = np.array([7000.0, 0, 0, 0, 7.5, 0])
         np.testing.assert_array_equal(propagate_hf(y0, 5.0, 5.0, TWO_BODY), y0)
