@@ -7,12 +7,15 @@ either the true longitude L or the mean longitude lam.  Units are km, km/s,
 rad, s throughout.
 
 Every conversion runs through the cartesian hub and is written against the
-:mod:`orbuq.generic` shims, so one code path serves plain numbers and DA
-states.  Cartesian extraction of the equinoctial family avoids materializing
-singular Keplerian angles: exactly-circular and exactly-equatorial orbits
-convert cleanly.  Keplerian extraction falls back to zero-angle conventions
-below ``e < 1e-10`` or ``sin(i) < 1e-10`` and reports the convention through
-``OrbitState.flags``.
+:mod:`orbuq.generic` shims, so one code path serves plain numbers, whole float
+columns (one row per element) and DA states, lone or stacked.  Decisions on
+constant parts go through :func:`~orbuq.generic.branch`: columns or stack
+members that disagree raise :class:`~orbuq.generic.MixedBranch`, and the
+caller converts them one at a time.  Cartesian extraction of the equinoctial
+family avoids materializing singular Keplerian angles: exactly-circular and
+exactly-equatorial orbits convert cleanly.  Keplerian extraction falls back
+to zero-angle conventions below ``e < 1e-10`` or ``sin(i) < 1e-10`` and
+reports the convention through ``OrbitState.flags``.
 
 Angles move through these routines unwrapped (branch restored near the source
 value where a revolution count exists); wrap only when serializing.
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .generic import atan2, cons, cos, cross3, dot3, is_poly, norm3, sin, sqrt
+from .generic import atan2, branch, cons, cos, cross3, dot3, each, is_poly, norm3, sin, sqrt
 from .ta import DAVector, TaylorPoly
 
 __all__ = [
@@ -138,7 +141,7 @@ def wrap_angle(x: float) -> float:
 
 def rebranch_near(angle, ref):
     """Shift by whole revolutions so the constant part lands nearest ref."""
-    shift = 2.0 * math.pi * round((cons(ref) - cons(angle)) / (2.0 * math.pi))
+    shift = 2.0 * math.pi * each(round, (cons(ref) - cons(angle)) / (2.0 * math.pi))
     return angle + shift
 
 
@@ -154,29 +157,9 @@ def _newton_iters_for(order: int) -> int:
     return max(2, math.ceil(math.log2(order + 1)) + 1)
 
 
-def _float_arrays(*args) -> bool:
-    return any(isinstance(a, np.ndarray) and a.ndim > 0 and a.dtype != object for a in args)
-
-
-def _solve_each(solver, *args):
-    """Apply a scalar solver element by element over broadcast float arrays."""
-    bc = np.broadcast(*args)
-    return np.array([solver(*vals) for vals in bc]).reshape(bc.shape)
-
-
-def kepler_solve(M, e, tol: float = 1e-13, max_iter: int = 50):
-    """Eccentric anomaly E with E - e*sin(E) = M (elliptic only).
-
-    Scalar Newton on the constant part, then fixed polynomial Newton passes
-    when the inputs carry a nilpotent part.  Float arrays are solved element
-    by element.
-    """
-    if _float_arrays(M, e):
-        return _solve_each(lambda m, ee: kepler_solve(m, ee, tol, max_iter), M, e)
-    ebar = float(cons(e))
+def _kepler_float(mbar: float, ebar: float, tol: float, max_iter: int) -> float:
     if not 0.0 <= ebar < 1.0:
         raise ValueError(f"eccentricity {ebar} outside [0, 1)")
-    mbar = float(cons(M))
     sm = math.sin(mbar)
     big_e = mbar if sm == 0.0 else mbar + 0.85 * ebar * math.copysign(1.0, sm)
     for _ in range(max_iter):
@@ -186,6 +169,18 @@ def kepler_solve(M, e, tol: float = 1e-13, max_iter: int = 50):
         big_e -= resid / (1.0 - ebar * math.cos(big_e))
     else:
         raise RuntimeError(f"Kepler solver stalled: M={mbar}, e={ebar}")
+    return big_e
+
+
+def kepler_solve(M, e, tol: float = 1e-13, max_iter: int = 50):
+    """Eccentric anomaly E with E - e*sin(E) = M (elliptic only).
+
+    Scalar Newton on the constant part, element by element for float arrays
+    and stacks, then fixed polynomial Newton passes when the inputs carry a
+    nilpotent part.
+    """
+    mbar, ebar = cons(M), cons(e)
+    big_e = each(_kepler_float, mbar, ebar, tol, max_iter)
     if not _poly_args(M, e):
         return big_e
     ctx = (M if is_poly(M) else e).ctx
@@ -197,16 +192,8 @@ def kepler_solve(M, e, tol: float = 1e-13, max_iter: int = 50):
     return ee
 
 
-def kepler_equinoctial_solve(lam, f, g, tol: float = 1e-13, max_iter: int = 50):
-    """Eccentric longitude F with F + g*cos(F) - f*sin(F) = lam.
-
-    Float arrays are solved element by element.
-    """
-    if _float_arrays(lam, f, g):
-        return _solve_each(
-            lambda lv, fv, gv: kepler_equinoctial_solve(lv, fv, gv, tol, max_iter), lam, f, g
-        )
-    fbar, gbar, lbar = float(cons(f)), float(cons(g)), float(cons(lam))
+def _kepler_equinoctial_float(lbar: float, fbar: float, gbar: float, tol: float,
+                              max_iter: int) -> float:
     if fbar * fbar + gbar * gbar >= 1.0:
         raise ValueError("equinoctial eccentricity magnitude must be < 1")
     big_f = lbar
@@ -217,6 +204,16 @@ def kepler_equinoctial_solve(lam, f, g, tol: float = 1e-13, max_iter: int = 50):
         big_f -= resid / (1.0 - gbar * math.sin(big_f) - fbar * math.cos(big_f))
     else:
         raise RuntimeError(f"equinoctial Kepler solver stalled: lam={lbar}")
+    return big_f
+
+
+def kepler_equinoctial_solve(lam, f, g, tol: float = 1e-13, max_iter: int = 50):
+    """Eccentric longitude F with F + g*cos(F) - f*sin(F) = lam.
+
+    Float arrays and stacks are solved element by element.
+    """
+    fbar, gbar, lbar = cons(f), cons(g), cons(lam)
+    big_f = each(_kepler_equinoctial_float, lbar, fbar, gbar, tol, max_iter)
     if not _poly_args(lam, f, g):
         return big_f
     ctx = next(a.ctx for a in (lam, f, g) if is_poly(a))
@@ -253,7 +250,7 @@ def cart_to_eqx_core(rv, mu):
     hmag = norm3(hvec)
     wz = hvec[2] / hmag
     den = 1.0 + wz
-    if cons(den) <= 1e-12:
+    if branch(cons(den) <= 1e-12):
         raise ValueError("retrograde equatorial geometry (i = pi) is singular")
     hq = -(hvec[1] / hmag) / den
     kq = (hvec[0] / hmag) / den
@@ -383,9 +380,9 @@ def cart_to_kep(rv, mu):
 
     hxy2 = hvec[0] * hvec[0] + hvec[1] * hvec[1]
     hmag = norm3(hvec)
-    equatorial = math.sqrt(max(cons(hxy2), 0.0)) < _SINGULAR_I * cons(hmag)
+    equatorial = branch(np.sqrt(np.maximum(cons(hxy2), 0.0)) < _SINGULAR_I * cons(hmag))
     e2 = dot3(evec, evec)
-    circular = math.sqrt(max(cons(e2), 0.0)) < _SINGULAR_E
+    circular = branch(np.sqrt(np.maximum(cons(e2), 0.0)) < _SINGULAR_E)
 
     if equatorial:
         flags.append("equatorial_convention")

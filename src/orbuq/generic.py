@@ -3,23 +3,74 @@
 Conversion formulas, analytical theories and force models in this package are
 written once against these helpers.  Fed plain floats (or numpy arrays) they
 behave like ``numpy``; fed :class:`~orbuq.ta.TaylorPoly` operands they produce
-truncated Taylor expansions.  Any branching a formula needs must go through
-``cons`` (the constant/nominal part) so that polynomial arguments never decide
-control flow with anything but their expansion point.
+truncated Taylor expansions, of one polynomial or of a stack of them.
+
+A formula decides control flow only on constant parts (``cons``), and every
+such decision goes through ``branch``.  The constant part of a stack, like a
+float column, holds one value per member, so a condition on it is an array:
+``branch`` turns it into one plain bool when all members agree and raises
+``MixedBranch`` when they do not, and the caller then evaluates the members
+one at a time.  Float computations on constant parts that are not plain
+arithmetic (Newton loops, whole-turn counts, series coefficients) go through
+``each``, which runs the float code member by member.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
 from .ta import DAVector, TaylorPoly
 
 __all__ = [
-    "cons", "is_poly", "sqrt", "sin", "cos", "tan", "exp", "log", "atan",
-    "atan2", "asin", "power", "absval", "norm3", "dot3", "cross3",
+    "MixedBranch", "branch", "each", "cons", "is_poly", "sqrt", "sin", "cos",
+    "tan", "exp", "log", "atan", "atan2", "asin", "power", "absval", "norm3",
+    "dot3", "cross3",
 ]
+
+
+class MixedBranch(ValueError):
+    """Members of a stack, or rows of float columns, disagree at a branch."""
+
+
+def branch(cond) -> bool:
+    """A control-flow decision on constant parts, as a plain bool.
+
+    ``cond`` is a bool, or a bool array with one entry per member of a stack
+    (or per row of float columns); an array decides only when its entries
+    agree.
+    """
+    if isinstance(cond, np.ndarray) and cond.ndim:
+        if cond.all():
+            return True
+        if not cond.any():
+            return False
+        raise MixedBranch(f"{np.count_nonzero(cond)} of {cond.size} members take the branch")
+    return bool(cond)
+
+
+def each(fn, *args):
+    """A function of floats applied to constant parts.
+
+    Plain numbers go to ``fn`` as they are.  Arrays (per-member constant
+    parts, float columns) are broadcast and mapped element by element, so
+    every element gets the bits ``fn`` gives that float alone.
+    """
+    for a in args:
+        if isinstance(a, np.ndarray) and a.ndim:
+            break
+    else:
+        return fn(*args)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+
+    def column(a):
+        if not (isinstance(a, np.ndarray) and a.ndim):
+            return repeat(a)
+        return (a if a.shape == shape else np.broadcast_to(a, shape)).ravel().tolist()
+
+    return np.array([fn(*v) for v in zip(*map(column, args))]).reshape(shape)
 
 
 def is_poly(x) -> bool:
@@ -102,7 +153,7 @@ def atan2(y, x):
     if isinstance(y, TaylorPoly):
         return y.atan2(x)
     if isinstance(x, TaylorPoly):
-        return x.ctx.constant(float(y)).atan2(x)
+        return x.ctx.constant(y).atan2(x)
     if isinstance(y, float) and isinstance(x, float):
         return math.atan2(y, x)
     return np.arctan2(y, x)

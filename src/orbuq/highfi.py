@@ -19,7 +19,7 @@ import numpy as np
 
 from .elements import CARTESIAN, MEE_L, convert_values
 from .forces import ForceConfig, SpacecraftParams, acceleration
-from .generic import cons, cos, cross3, dot3, is_poly, norm3, sin, sqrt
+from .generic import branch, cons, cos, cross3, dot3, is_poly, norm3, sin, sqrt
 from .integrate import IntegratorConfig, integrate_batch, integrate_da, integrate_single
 from .ta import DAVector
 
@@ -78,7 +78,10 @@ def propagate_hf(state, t0_s: float, t_s: float,
     if isinstance(state, DAVector):
         return DAVector(integrate_da(rhs, 0.0, list(state), span, icfg))
     if isinstance(state, (list, tuple)) and any(is_poly(v) for v in state):
-        return integrate_da(rhs, 0.0, list(state), span, icfg)
+        # float entries are exact constants of the expansion
+        ctx = next(v.ctx for v in state if is_poly(v))
+        polys = [v if is_poly(v) else ctx.constant(v) for v in state]
+        return integrate_da(rhs, 0.0, polys, span, icfg)
     arr = np.asarray(state, dtype=np.float64)
     if arr.ndim == 1:
         # a single state is the one-row batch that also steers DA propagation
@@ -98,11 +101,11 @@ def gauss_equations_mee(mee_values, accel_rsw, mu: float):
     """
     p, f, g, h, k, big_l = mee_values
     a_r, a_t, a_n = accel_rsw
-    if cons(p) <= 0.0:
+    if branch(cons(p) <= 0.0):
         raise ValueError("semilatus rectum must be positive")
     cl, sl = cos(big_l), sin(big_l)
     w = 1.0 + f * cl + g * sl
-    if cons(w) <= 0.0:
+    if branch(cons(w) <= 0.0):
         raise ValueError("geometry violation: 1 + f cosL + g sinL <= 0")
     s2 = 1.0 + h * h + k * k
     sqp = sqrt(p / mu)

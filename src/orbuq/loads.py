@@ -11,17 +11,24 @@ Two index flavors are provided: the raw DA Jacobian (derivatives with respect
 to the box variables, natural for a standalone split loop) and the scaled
 Jacobian (physical derivatives re-normalized by the current kernel's
 one-sigma-times-CI amplitudes, used when the split loop tracks a Gaussian
-mixture).  Processing is FIFO, children are appended in library order, and
-weights are conserved exactly, so manifold ordering is reproducible.
+mixture).
+
+The loop runs one generation at a time: the domains of a generation go to the
+target in stacks of up to ``_WIDTH`` (one ``DAVector`` of stacked polynomials
+per call, see :mod:`orbuq.ta`), and the images come back in the same order.
+A stacked call that raises, for instance because its members disagree at a
+branch, is redone member by member, which reproduces the lone images and
+errors.  Domains are processed in generation order and children are appended
+in library order, which is the breadth-first order of a FIFO queue; weights
+are conserved exactly, so manifold ordering is reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +36,7 @@ from .gmm import GaussianKernel, SplitLibrary, spectral_factors, split_kernel
 from .ta import AlgebraContext, DAVector, TaylorPoly
 
 __all__ = [
-    "Domain", "Manifold", "LoadsConfig", "initial_domain",
+    "Domain", "Manifold", "SplitStats", "LoadsConfig", "initial_domain", "map_stacked",
     "raw_jacobian", "scaled_jacobian", "nli", "directional_nli",
     "split_direction", "split_domain", "loads", "loads_gmm",
 ]
@@ -57,10 +64,36 @@ class Domain:
 
 
 @dataclass
+class SplitStats:
+    """What a split run evaluated.
+
+    ``target_evals`` counts states, not calls: a stacked call adds its
+    members, and a member redone alone counts again.  ``batch_fallbacks``
+    counts the stacked calls that were redone member by member.
+    """
+
+    domains_per_generation: list[int] = field(default_factory=list)
+    target_evals: int = 0
+    batch_fallbacks: int = 0
+
+    def add(self, other: "SplitStats"):
+        """Fold another run's counts into this one, generation by generation."""
+        gens = self.domains_per_generation
+        for g, n in enumerate(other.domains_per_generation):
+            if g < len(gens):
+                gens[g] += n
+            else:
+                gens.append(n)
+        self.target_evals += other.target_evals
+        self.batch_fallbacks += other.batch_fallbacks
+
+
+@dataclass
 class Manifold:
-    """Ordered list of domains produced by one split run."""
+    """Ordered list of domains produced by one split run, with its counts."""
 
     domains: list[Domain]
+    stats: SplitStats = field(default_factory=SplitStats)
 
     def __len__(self):
         return len(self.domains)
@@ -272,9 +305,38 @@ def split_domain(domain: Domain, k: int, lib: SplitLibrary, ci: float
     return children
 
 
+_WIDTH = 64  # states per stacked call; wider stacks fall out of the cache
+
+
+def map_stacked(f: Callable[[DAVector], DAVector], states: Sequence[DAVector],
+                stats: SplitStats) -> Iterator[DAVector]:
+    """``f(state)`` for each state in order, with one call of ``f`` per chunk.
+
+    Chunks of up to ``_WIDTH`` states go to ``f`` as one stacked
+    ``DAVector``; a chunk of one goes as the lone state.  A stacked call that
+    raises is redone member by member, so each image is the lone image and an
+    error is raised where the lone call raises it, after the images before it
+    have been yielded.
+    """
+    for lo in range(0, len(states), _WIDTH):
+        chunk = states[lo:lo + _WIDTH]
+        if len(chunk) > 1:
+            stats.target_evals += len(chunk)
+            try:
+                images = f(DAVector.stack(chunk)).members(len(chunk))
+            except Exception:  # redone member by member below, which re-raises
+                stats.batch_fallbacks += 1
+            else:
+                yield from images
+                continue
+        for state in chunk:
+            stats.target_evals += 1
+            yield f(state)
+
+
 def _split_engine(f: Callable[[DAVector], DAVector], x0: Domain, cfg: LoadsConfig,
                   scaled: bool, honor_alpha: bool) -> tuple[Manifold, Manifold]:
-    work: deque[Domain] = deque([x0])
+    stats = SplitStats()
     inputs: list[Domain] = []
     images: list[Domain] = []
 
@@ -293,20 +355,23 @@ def _split_engine(f: Callable[[DAVector], DAVector], x0: Domain, cfg: LoadsConfi
             )
         )
 
-    while work:
-        d = work.popleft()
-        y = f(d.state)
-        if honor_alpha and d.weight < cfg.alpha_min:
-            emit(d, y, None)
-            continue
-        jac = scaled_jacobian(y, d.eigvals, cfg.ci) if scaled else raw_jacobian(y)
-        nu = nli(jac)
-        if nu < cfg.eps_nu or d.nsplits >= cfg.n_max:
-            emit(d, y, nu)
-        else:
-            k = split_direction(jac)
-            work.extend(split_domain(d, k, cfg.library, cfg.ci))
-    return Manifold(inputs), Manifold(images)
+    generation = [x0]
+    while generation:
+        stats.domains_per_generation.append(len(generation))
+        children: list[Domain] = []
+        for d, y in zip(generation, map_stacked(f, [g.state for g in generation], stats)):
+            if honor_alpha and d.weight < cfg.alpha_min:
+                emit(d, y, None)
+                continue
+            jac = scaled_jacobian(y, d.eigvals, cfg.ci) if scaled else raw_jacobian(y)
+            nu = nli(jac)
+            if nu < cfg.eps_nu or d.nsplits >= cfg.n_max:
+                emit(d, y, nu)
+            else:
+                k = split_direction(jac)
+                children.extend(split_domain(d, k, cfg.library, cfg.ci))
+        generation = children
+    return Manifold(inputs, stats), Manifold(images, stats)
 
 
 def loads(f: Callable[[DAVector], DAVector], x0: Domain, cfg: LoadsConfig

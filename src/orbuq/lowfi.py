@@ -16,7 +16,9 @@ an osculating cartesian state at any requested time.  Two theories ship:
 ``osc_to_mean`` inverts a theory by fixed point: propagate the current mean
 guess to the target epoch, compare osculating elements, and add the residual
 to the guess.  On polynomial states convergence is judged on the constant part
-of the residual; the polynomial part contracts at the same rate.
+of the residual; the polynomial part contracts at the same rate.  Stacked
+states and float columns are judged member by member: a member that has
+converged keeps its mean while the others iterate on.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .elements import (
     KEPLERIAN,
     convert_values,
 )
-from .generic import cons, cos, is_poly, sin, sqrt
+from .generic import cons, cos, each, sin, sqrt
 from .sgp4 import WGS72, GravityConstants, Sgp4
-from .ta import DAVector
+from .ta import DAVector, TaylorPoly
 
 __all__ = [
     "KeplerJ2Theory", "Sgp4Theory", "MeanElements",
@@ -62,8 +64,7 @@ class MeanElements:
 
 def wrap_residual(delta):
     """Wrap an angle residual into (-pi, pi] by shifting its constant part."""
-    c = cons(delta)
-    return delta - _TWOPI * math.ceil((c - math.pi) / _TWOPI)
+    return delta - _TWOPI * each(math.ceil, (cons(delta) - math.pi) / _TWOPI)
 
 
 class KeplerJ2Theory:
@@ -178,6 +179,25 @@ class Sgp4Theory:
         return vals
 
 
+def _residual_norm(parts):
+    """Euclidean norm of the constant parts: a float, or one per member."""
+    if np.ndim(parts[0]) == 0:
+        return float(np.linalg.norm(parts))
+    return np.array([np.linalg.norm(col) for col in np.array(parts).T])
+
+
+def _advance(value, delta, settled):
+    """value + delta, except on the members that have settled."""
+    new = value + delta
+    if np.ndim(settled) == 0:
+        return new
+    if not isinstance(new, TaylorPoly):
+        return np.where(settled, value, new)
+    old = value.c if isinstance(value, TaylorPoly) else new.ctx.constant(value).c
+    old = np.broadcast_to(old if old.ndim == 2 else old[:, None], new.c.shape)
+    return TaylorPoly(new.ctx, np.where(settled, old, new.c), _trust=True)
+
+
 def osc_to_mean(theory, epoch_s: float, cart_values, eps_max: float = 1e-10,
                 i_max: int = 50) -> MeanElements:
     """Invert a theory: mean elements whose propagation to epoch reproduces
@@ -186,7 +206,10 @@ def osc_to_mean(theory, epoch_s: float, cart_values, eps_max: float = 1e-10,
     The residual is formed element-wise in the theory's mean-element space,
     angle components wrapped to (-pi, pi], and added directly to the guess.
     Convergence is checked on the constant-part norm; for polynomial states
-    the returned mean elements carry the full Taylor expansion.
+    the returned mean elements carry the full Taylor expansion.  Members of
+    a stack (or rows of float columns) converge one by one: each keeps the
+    mean at which its own residual first fell below ``eps_max``, which is the
+    mean it would get alone.
     """
     osc_target = theory.osc_extract(cart_values)
     mean = MeanElements(theory.name, epoch_s, list(osc_target),
@@ -198,13 +221,14 @@ def osc_to_mean(theory, epoch_s: float, cart_values, eps_max: float = 1e-10,
         delta = [t - c for t, c in zip(osc_target, osc_i)]
         for j in theory.angle_indices:
             delta[j] = wrap_residual(delta[j])
-        resid = float(np.linalg.norm([cons(d) for d in delta]))
+        resid = _residual_norm([cons(d) for d in delta])
         history.append(resid)
-        if resid < eps_max:
+        settled = resid < eps_max
+        if np.all(settled):
             return mean
         mean = MeanElements(
             theory.name, epoch_s,
-            [m + d for m, d in zip(mean.values, delta)],
+            [_advance(m, d, settled) for m, d in zip(mean.values, delta)],
             bstar=mean.bstar,
         )
     raise RuntimeError(

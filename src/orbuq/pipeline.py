@@ -11,11 +11,14 @@ The flow for one scenario:
    for the propagation stage.  The transformed kernels double as the initial
    mixture that Monte-Carlo sampling and map evaluation use.
 3. Run the mixture-tracking split loop with the low-fidelity theory map over
-   the propagation span, giving per-kernel second-order Taylor maps.
+   the propagation span, giving per-kernel second-order Taylor maps.  The
+   loop evaluates the map on stacks of domains (see ``orbuq.loads``); its
+   first image, the dominant root's, is the one that gives ``nu_single``.
 4. Propagate every kernel mean pointwise through the high-fidelity force
    model (fixed-size chunks, optional threads) and replace each map's
    constant part - directly in osculating element space, or through the
-   theory's mean-element space when the TLE-shift mode is selected.
+   theory's mean-element space when the TLE-shift mode is selected, which
+   shifts stacks of kernels.
 5. Push each kernel's unscented set through its map and rebuild moments; the
    split weights are untouched by propagation.
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -60,7 +63,18 @@ from .gmm import (
 )
 from .highfi import propagate_hf
 from .integrate import IntegratorConfig
-from .loads import Domain, LoadsConfig, Manifold, initial_domain, loads_gmm, nli, scaled_jacobian
+from .generic import MixedBranch
+from .loads import (
+    Domain,
+    LoadsConfig,
+    Manifold,
+    SplitStats,
+    initial_domain,
+    loads_gmm,
+    map_stacked,
+    nli,
+    scaled_jacobian,
+)
 from .lowfi import KeplerJ2Theory, MeanElements, Sgp4Theory, lf_target, osc_to_mean
 from .sgp4 import WGS72
 from .ta import AlgebraContext, DAVector
@@ -181,6 +195,7 @@ class MfResult:
     nu_single: float
     kappa_fallback: list[int]
     timings: dict
+    stats: SplitStats = field(default_factory=SplitStats)
 
     @property
     def n_kernels(self) -> int:
@@ -207,6 +222,7 @@ class MfResult:
             "weight_sum": float(self.weights.sum()),
             "kappa_fallback_kernels": self.kappa_fallback,
             "timings": self.timings,
+            "counters": asdict(self.stats),
         }
 
 
@@ -275,6 +291,26 @@ def _rows_to_cartesian(rows: np.ndarray, eset: ElementSet, mu: float) -> np.ndar
     return np.column_stack(cols)
 
 
+def _rows_from_cartesian(rows: np.ndarray, eset: ElementSet, mu: float,
+                         angle_ref=None) -> np.ndarray:
+    """(N, 6) cartesian rows -> element-set rows, converted as whole columns.
+
+    Rows that take different branches of the conversion (``MixedBranch``)
+    are converted one at a time.  Column 5 is moved to the branch nearest
+    ``angle_ref`` when one is given (a float, or one reference per row).
+    """
+    if eset.kind == ElemKind.CARTESIAN:
+        return rows
+    try:
+        cols, _ = convert_values(list(rows.T), CARTESIAN, eset, mu)
+        out = np.column_stack([np.broadcast_to(c, rows.shape[:1]) for c in cols])
+    except MixedBranch:
+        out = np.array([convert_values(list(r), CARTESIAN, eset, mu)[0] for r in rows])
+    if angle_ref is not None:
+        out[:, 5] = rebranch_near(out[:, 5], angle_ref)
+    return out
+
+
 def _box_coordinates(points: np.ndarray, mean: np.ndarray, eigvecs: np.ndarray,
                      amp: np.ndarray) -> np.ndarray:
     """Physical points -> unit-box coordinates of an affine chart.
@@ -335,7 +371,8 @@ def shift_tle(theory, t1_s: float, mu_hf_set: np.ndarray, lf_map_set: DAVector,
     Both the high-fidelity mean and the low-fidelity polynomial transform to
     the theory frame, invert to mean elements at the final epoch, recombine
     (high-fidelity constants, low-fidelity deviations), and map back through a
-    zero-length theory propagation.
+    zero-length theory propagation.  A stacked map takes ``mu_hf_set`` as
+    (6, B) columns, one per member.
     """
     frame = theory.frame
     cart_map, _ = convert_values(list(lf_map_set), element_set, CARTESIAN, mu)
@@ -347,7 +384,7 @@ def shift_tle(theory, t1_s: float, mu_hf_set: np.ndarray, lf_map_set: DAVector,
 
     shifted_mean = MeanElements(
         theory.name, t1_s,
-        [p - p.const + float(c) for p, c in zip(mean_map.values, mean_hf.constant_values())],
+        [p - p.const + c for p, c in zip(mean_map.values, mean_hf.constant_values())],
         bstar=mean_map.bstar,
     )
     teme = theory.propagate_mean(shifted_mean, t1_s)
@@ -376,18 +413,23 @@ def _conversion_stage(scenario: Scenario, root: Domain, lib: SplitLibrary):
         mean, cov, _ = _kernel_moments(dom, img.state, kappa, scenario.ci)
         roots.append(initial_domain(mean, cov, scenario.ci, weight=dom.weight))
         kernels.append(GaussianKernel(dom.weight, mean, cov))
-    return roots, GaussianMixture(tuple(kernels))
+    return roots, GaussianMixture(tuple(kernels)), m_in.stats.batch_fallbacks
 
 
 @dataclass
 class LfStage:
-    """Output of the low-fidelity half of the pipeline (no HF correction)."""
+    """Output of the low-fidelity half of the pipeline (no HF correction).
+
+    ``stats`` counts the low-fidelity split loop, summed over the roots, plus
+    the stacked calls the conversion stage redid member by member.
+    """
 
     inputs: Manifold
     maps: list[DAVector]
     initial_mixture: GaussianMixture
     nu_single: float
     timings: dict
+    stats: SplitStats = field(default_factory=SplitStats)
 
     @property
     def n_kernels(self) -> int:
@@ -407,20 +449,27 @@ def lf_stage(scenario: Scenario) -> LfStage:
     mu0, p0 = scenario.initial_cartesian()
     root_cart = initial_domain(mu0, p0, scenario.ci)
 
+    stats = SplitStats()
     if eset.kind == ElemKind.CARTESIAN:
         roots = [root_cart]
         initial_mixture = GaussianMixture((GaussianKernel(1.0, mu0, p0),))
     else:
-        roots, initial_mixture = _conversion_stage(scenario, root_cart, lib)
+        roots, initial_mixture, stats.batch_fallbacks = _conversion_stage(
+            scenario, root_cart, lib)
 
     target = lf_target(theory, t0_s, t1_s, eset, mu)
 
     # single-domain index of the dominant root
     tic = time.perf_counter()
     lead = max(range(len(roots)), key=lambda i: roots[i].weight)
-    y_lead = target(roots[lead].state)
+    lead_state = roots[lead].state
+    y_lead = target(lead_state)
     timings["t_da_lf_s"] = time.perf_counter() - tic
     nu_single = nli(scaled_jacobian(y_lead, roots[lead].eigvals, scenario.ci))
+
+    def split_target(state):
+        # the split loop starts from the lead root, whose image is known
+        return y_lead if state is lead_state else target(state)
 
     cfg = LoadsConfig(
         eps_nu=scenario.eps_nu, library=lib, n_max=scenario.n_max,
@@ -430,9 +479,10 @@ def lf_stage(scenario: Scenario) -> LfStage:
     all_inputs: list[Domain] = []
     all_maps: list[DAVector] = []
     for root in roots:
-        m_in, m_out = loads_gmm(target, root, cfg)
+        m_in, m_out = loads_gmm(split_target, root, cfg)
         all_inputs.extend(m_in.domains)
         all_maps.extend(d.state for d in m_out)
+        stats.add(m_in.stats)
     timings["t_loads_s"] = time.perf_counter() - tic
 
     # keep every kernel's fast angle on the branch of the nominal image
@@ -448,10 +498,10 @@ def lf_stage(scenario: Scenario) -> LfStage:
             for m in all_maps
         ]
 
-    inputs = Manifold(all_inputs)
+    inputs = Manifold(all_inputs, stats)
     if abs(inputs.total_weight() - 1.0) > 1e-12:
         raise RuntimeError(f"split weights drifted: {inputs.total_weight()}")
-    return LfStage(inputs, all_maps, initial_mixture, nu_single, timings)
+    return LfStage(inputs, all_maps, initial_mixture, nu_single, timings, stats)
 
 
 def mf_propagate(scenario: Scenario, threads: int = 1,
@@ -482,24 +532,30 @@ def mf_propagate(scenario: Scenario, threads: int = 1,
         means_cart, t0_s, t1_s, scenario.force, scenario.integrator,
         scenario.spacecraft, threads=threads,
     )
-    mu_hf_set = []
-    for row, mp in zip(prop_cart, all_maps):
-        vals, _ = convert_values(list(row), CARTESIAN, eset, mu)
-        if angle_idx is not None:
-            vals[angle_idx] = rebranch_near(vals[angle_idx], mp[angle_idx].const)
-        mu_hf_set.append(vals)
+    angle_refs = None
+    if angle_idx is not None:
+        angle_refs = np.array([mp[angle_idx].const for mp in all_maps])
+    mu_hf_set = _rows_from_cartesian(prop_cart, eset, mu, angle_refs)
     timings["t_hf_correction_s"] = time.perf_counter() - tic
 
     # constant-part substitution per the configured shift mode
     tic = time.perf_counter()
+    stats = SplitStats()
+    stats.add(stage.stats)
     if scenario.shift_mode == "osculating":
-        maps_mf = [
-            _replace_constant(mp, np.array(mh)) for mp, mh in zip(all_maps, mu_hf_set)
-        ]
+        maps_mf = [_replace_constant(mp, mh) for mp, mh in zip(all_maps, mu_hf_set)]
     else:
+        def shift(vec):
+            # vec: the LF map, then the HF mean as six constant components
+            return shift_tle(theory, t1_s, vec.constant_part()[6:], DAVector(vec[:6]),
+                             eset, mu)
+
+        ctx = all_maps[0].ctx
+        packed = [DAVector(list(mp) + [ctx.constant(v) for v in mh])
+                  for mp, mh in zip(all_maps, mu_hf_set)]
+        shift_stats = SplitStats()
         maps_mf = []
-        for mp, mh in zip(all_maps, mu_hf_set):
-            shifted = shift_tle(theory, t1_s, np.array(mh), mp, eset, mu)
+        for mp, shifted in zip(all_maps, map_stacked(shift, packed, shift_stats)):
             if angle_idx is not None:
                 shifted = DAVector(
                     list(shifted)[:angle_idx]
@@ -507,6 +563,7 @@ def mf_propagate(scenario: Scenario, threads: int = 1,
                     + list(shifted)[angle_idx + 1:]
                 )
             maps_mf.append(shifted)
+        stats.batch_fallbacks += shift_stats.batch_fallbacks
     timings["t_shift_s"] = time.perf_counter() - tic
 
     kappa = scenario.ut_kappa if scenario.ut_kappa is not None else 3.0 - 6.0
@@ -528,6 +585,7 @@ def mf_propagate(scenario: Scenario, threads: int = 1,
         nu_single=nu_single,
         kappa_fallback=sorted(set(fb_lf) | set(fb_mf)),
         timings=timings,
+        stats=stats,
     )
 
 
@@ -578,15 +636,7 @@ def mc_reference(scenario: Scenario, n: int, seed: int | None = None,
         cart0, t0_s, t0_s + scenario.duration_s, scenario.force,
         scenario.integrator, scenario.spacecraft, threads=threads,
     )
-    if eset.kind == ElemKind.CARTESIAN:
-        return x0, cart1
-    out = np.empty_like(cart1)
-    for i, row in enumerate(cart1):
-        vals, _ = convert_values(list(row), CARTESIAN, eset, mu)
-        if angle_ref is not None:
-            vals[5] = rebranch_near(vals[5], angle_ref)
-        out[i] = vals
-    return x0, out
+    return x0, _rows_from_cartesian(cart1, eset, mu, angle_ref)
 
 
 def _exact_assignment(inputs: Manifold, row: np.ndarray, kernels) -> int:

@@ -7,9 +7,11 @@ fixed-point inversion in :mod:`orbuq.lowfi` exists.
 
 Because initialization and evaluation are plain algebraic recurrences, both
 accept :class:`~orbuq.ta.TaylorPoly` elements: the result is then the Taylor
-expansion of the TEME state with respect to mean-element deviations.  All
-value-dependent branches (perigee regimes, small-eccentricity guards, the
-Kepler stop rule) act on constant parts only.
+expansion of the TEME state with respect to mean-element deviations, or of
+one state per member when the elements are stacks.  All value-dependent
+branches (perigee regimes, small-eccentricity guards, range errors) decide on
+constant parts through :func:`~orbuq.generic.branch`, and the Kepler stop
+rule runs on each member's floats.
 
 Deep-space corrections (orbital period >= 225 min) are not implemented; the
 initializer rejects such orbits.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .generic import absval, atan2, cons, cos, is_poly, sin, sqrt
+from .generic import absval, atan2, branch, cons, cos, each, is_poly, sin, sqrt
 from .timeutil import jday_from_civil
 
 __all__ = ["GravityConstants", "WGS72", "WGS84", "Sgp4", "Sgp4Error",
@@ -74,8 +76,24 @@ WGS84 = GravityConstants(
 
 def _fmod2p(x):
     """Shift by whole turns so the constant part lies in [0, 2*pi)."""
-    c = cons(x)
-    return x - TWOPI * math.floor(c / TWOPI)
+    return x - TWOPI * each(math.floor, cons(x) / TWOPI)
+
+
+def _kepler_constant(ubar: float, axbar: float, aybar: float) -> float:
+    """Eccentric longitude of Kepler's equation on constant parts (Vallado's stop rule)."""
+    eo1 = ubar
+    tem5 = 9999.9
+    ktr = 1
+    while abs(tem5) >= 1.0e-12 and ktr <= 10:
+        sineo1 = math.sin(eo1)
+        coseo1 = math.cos(eo1)
+        tem5 = 1.0 - coseo1 * axbar - sineo1 * aybar
+        tem5 = (ubar - aybar * coseo1 + axbar * sineo1 - eo1) / tem5
+        if abs(tem5) >= 0.95:
+            tem5 = 0.95 if tem5 > 0.0 else -0.95
+        eo1 = eo1 + tem5
+        ktr += 1
+    return eo1
 
 
 class Sgp4:
@@ -99,9 +117,9 @@ class Sgp4:
         self.mo = mo
         self.bstar = bstar
 
-        if cons(ecco) >= 1.0 or cons(ecco) < 0.0:
+        if branch(cons(ecco) >= 1.0) or branch(cons(ecco) < 0.0):
             raise Sgp4Error(f"mean eccentricity {cons(ecco)} outside [0, 1)")
-        if cons(no_kozai) <= 0.0:
+        if branch(cons(no_kozai) <= 0.0):
             raise Sgp4Error("mean motion must be positive")
 
         eccsq = ecco * ecco
@@ -118,7 +136,7 @@ class Sgp4:
         del_ = d1 / (adel * adel)
         no_unkozai = no_kozai / (1.0 + del_)
 
-        if TWOPI / cons(no_unkozai) >= 225.0:
+        if branch(TWOPI / cons(no_unkozai) >= 225.0):
             raise Sgp4Error(
                 "orbital period >= 225 min needs the deep-space theory, "
                 "which this model does not include"
@@ -138,15 +156,15 @@ class Sgp4:
         qzms2t = qzms2ttemp**4
 
         self.isimp = 0
-        if cons(rp) < 220.0 / g.radiusearthkm + 1.0:
+        if branch(cons(rp) < 220.0 / g.radiusearthkm + 1.0):
             self.isimp = 1
         sfour = ss
         qzms24 = qzms2t
         perige = (rp - 1.0) * g.radiusearthkm
 
-        if cons(perige) < 156.0:
+        if branch(cons(perige) < 156.0):
             sfour = perige - 78.0
-            if cons(perige) < 98.0:
+            if branch(cons(perige) < 98.0):
                 sfour = 20.0
             qzms24temp = (120.0 - sfour) / g.radiusearthkm
             qzms24 = qzms24temp * qzms24temp * qzms24temp * qzms24temp
@@ -167,7 +185,7 @@ class Sgp4:
         )
         self.cc1 = bstar * cc2
         cc3 = 0.0
-        if cons(ecco) > 1.0e-4:
+        if branch(cons(ecco) > 1.0e-4):
             cc3 = -2.0 * coef * tsi * g.j3oj2 * no_unkozai * sinio / ecco
         self.x1mth2 = 1.0 - cosio2
         self.cc4 = 2.0 * no_unkozai * coef1 * ao * omeosq * (
@@ -201,11 +219,11 @@ class Sgp4:
         ) * cosio
         self.omgcof = bstar * cc3 * cos(argpo)
         self.xmcof = 0.0
-        if cons(ecco) > 1.0e-4:
+        if branch(cons(ecco) > 1.0e-4):
             self.xmcof = -X2O3 * coef * bstar / eeta
         self.nodecf = 3.5 * omeosq * xhdot1 * self.cc1
         self.t2cof = 1.5 * self.cc1
-        if abs(cons(cosio) + 1.0) > 1.5e-12:
+        if branch(abs(cons(cosio) + 1.0) > 1.5e-12):
             self.xlcof = -0.25 * g.j3oj2 * sinio * (3.0 + 5.0 * cosio) / (1.0 + cosio)
         else:
             self.xlcof = -0.25 * g.j3oj2 * sinio * (3.0 + 5.0 * cosio) / 1.5e-12
@@ -272,9 +290,9 @@ class Sgp4:
         nm = g.xke / am**1.5
         em = em - tempe
 
-        if cons(em) >= 1.0 or cons(em) < -0.001:
+        if branch(cons(em) >= 1.0) or branch(cons(em) < -0.001):
             raise Sgp4Error(f"mean eccentricity {cons(em)} drifted outside [0, 1)")
-        if cons(em) < 1.0e-6:
+        if branch(cons(em) < 1.0e-6):
             em = em - cons(em) + 1.0e-6 if is_poly(em) else 1.0e-6
         mm = mm + self.no_unkozai * templ
         xlm = mm + argpm + nodem
@@ -304,18 +322,7 @@ class Sgp4:
         u = _fmod2p(xl - nodep)
         ubar = cons(u)
         axbar, aybar = cons(axnl), cons(aynl)
-        eo1 = ubar
-        tem5 = 9999.9
-        ktr = 1
-        while abs(tem5) >= 1.0e-12 and ktr <= 10:
-            sineo1 = math.sin(eo1)
-            coseo1 = math.cos(eo1)
-            tem5 = 1.0 - coseo1 * axbar - sineo1 * aybar
-            tem5 = (ubar - aybar * coseo1 + axbar * sineo1 - eo1) / tem5
-            if abs(tem5) >= 0.95:
-                tem5 = 0.95 if tem5 > 0.0 else -0.95
-            eo1 = eo1 + tem5
-            ktr += 1
+        eo1 = each(_kepler_constant, ubar, axbar, aybar)
         if is_poly(u) or is_poly(axnl) or is_poly(aynl):
             ctx = next(q.ctx for q in (u, axnl, aynl) if is_poly(q))
             ee = ctx.constant(eo1)
@@ -334,7 +341,7 @@ class Sgp4:
         esine = axnl * sineo1 - aynl * coseo1
         el2 = axnl * axnl + aynl * aynl
         pl = am * (1.0 - el2)
-        if cons(pl) < 0.0:
+        if branch(cons(pl) < 0.0):
             raise Sgp4Error(f"semilatus rectum {cons(pl)} is negative")
 
         rl = am * (1.0 - ecose)
@@ -373,7 +380,7 @@ class Sgp4:
         vy = xmy * cossu - snod * sinsu
         vz = sini * cossu
 
-        if cons(mrt) < 1.0:
+        if branch(cons(mrt) < 1.0):
             raise Sgp4Error("satellite has decayed (radius below the Earth surface)")
 
         mr = mrt * g.radiusearthkm

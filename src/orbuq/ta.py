@@ -1,4 +1,4 @@
-"""Truncated multivariate Taylor polynomial algebra.
+"""Truncated multivariate Taylor polynomial algebra, one polynomial or a stack.
 
 Evaluating a program on :class:`TaylorPoly` operands instead of floats yields
 the Taylor expansion of the program output around the nominal input, truncated
@@ -8,12 +8,26 @@ nonlinearity bounds and domain splits are all read off the coefficient tables
 produced here.
 
 Coefficients are stored densely over the graded-lexicographic monomial basis
-of the context (28 entries for order 2 in 6 variables).  Products are
-truncated convolutions driven by an index table precomputed per context, which
-keeps a single multiply at a few microseconds; the sparse coefficient-map view
-used by serialization and debugging is reconstructed on demand.  Polynomials
-are immutable after construction and all operations are pure, so values can be
-shared freely across threads.
+of the context (28 entries for order 2 in 6 variables).  A polynomial holds
+one coefficient vector, shape ``(size,)``, or a stack of B independent
+members side by side, shape ``(size, B)``.  On a stack every operation acts on
+each member as it would on that member alone: constant parts, series
+coefficients and scalar operands are per member, and a lone operand takes part
+as the same polynomial in every member.  The cost of a Python-level operation
+is then paid once per stack instead of once per member, which is what makes
+evaluating a whole program on many expansion points at once cheap.
+
+Products are truncated convolutions driven by an index table precomputed per
+context.  A lone product sums each output coefficient's contributions with
+``np.bincount``; a stacked one gathers all pairwise products in one multiply
+and adds them slot by slot, in the table's order and starting from zero, which
+is the same sequence of roundings.  The kernel is chosen by array shape, and a
+member of a stack carries exactly the bits of the same polynomial computed
+alone.  Transcendental constants come from the ``math`` module member by
+member for the same reason.  The sparse coefficient-map view used by
+serialization and debugging, evaluation, composition and the range bound read
+lone polynomials.  Polynomials are immutable after construction and all
+operations are pure, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -56,6 +70,16 @@ def _context_tables(order: int, nvars: int):
     mul_j = np.array(big_j, dtype=np.intp)
     mul_k = np.array(big_k, dtype=np.intp)
 
+    # slot table of stacked products: slots[s, K] is the position in the
+    # convolution table of the s-th term of result[K], in table order, or
+    # the position one past the end (a zero) when K has fewer terms
+    counts = np.bincount(mul_k, minlength=len(monos))
+    slots = np.full((counts.max(), len(monos)), mul_k.size, dtype=np.intp)
+    filled = np.zeros(len(monos), dtype=np.intp)
+    for t, k in enumerate(big_k):
+        slots[filled[k], k] = t
+        filled[k] += 1
+
     # per-variable differentiation tables: out[dst] = c[src] * fac
     dtabs = []
     for v in range(nvars):
@@ -91,7 +115,7 @@ def _context_tables(order: int, nvars: int):
             parent.append(index[tuple(lowered)])
             var.append(v)
         lift.append(tuple(np.array(a, dtype=np.intp) for a in (dst, parent, var)))
-    return monos, index, degs, expmat, (mul_i, mul_j, mul_k), dtabs, lift
+    return monos, index, degs, expmat, (mul_i, mul_j, mul_k), slots, dtabs, lift
 
 
 class AlgebraContext:
@@ -102,14 +126,14 @@ class AlgebraContext:
     """
 
     __slots__ = ("order", "nvars", "monomials", "index", "degrees", "expmat",
-                 "_multab", "_dtabs", "_lift", "size")
+                 "_multab", "_slots", "_dtabs", "_lift", "size")
 
     def __init__(self, order: int, nvars: int):
         if order < 1 or nvars < 1:
             raise ValueError("order and nvars must both be >= 1")
         self.order = int(order)
         self.nvars = int(nvars)
-        monos, index, degs, expmat, multab, dtabs, lift = _context_tables(
+        monos, index, degs, expmat, multab, slots, dtabs, lift = _context_tables(
             self.order, self.nvars
         )
         self.monomials = monos
@@ -117,6 +141,7 @@ class AlgebraContext:
         self.degrees = degs
         self.expmat = expmat
         self._multab = multab
+        self._slots = slots
         self._dtabs = dtabs
         self._lift = lift
         self.size = len(monos)
@@ -154,9 +179,14 @@ class AlgebraContext:
 
     # -- constructors -----------------------------------------------------
 
-    def constant(self, value: float) -> "TaylorPoly":
-        c = np.zeros(self.size)
-        c[0] = float(value)
+    def constant(self, value) -> "TaylorPoly":
+        """A constant polynomial; a 1-D array of values gives a stack of them."""
+        if isinstance(value, np.ndarray) and value.ndim:
+            c = np.zeros((self.size, value.size))
+            c[0] = value
+        else:
+            c = np.zeros(self.size)
+            c[0] = float(value)
         return TaylorPoly(self, c, _trust=True)
 
     def variable(self, j: int) -> "TaylorPoly":
@@ -176,16 +206,64 @@ class AlgebraContext:
         return TaylorPoly(self, np.zeros(self.size), _trust=True)
 
 
-def _coerce_scalar(x) -> float | None:
+def _coerce_scalar(x):
+    """A float, per-member floats as a 1-D array, or None for anything else."""
     if isinstance(x, (int, float, np.integer, np.floating)):
         return float(x)
+    if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+        if x.ndim == 0:
+            return float(x)
+        if x.ndim == 1:
+            return x
     return None
 
 
+def _column(c: np.ndarray) -> np.ndarray:
+    """Coefficients as a (size, B) stack; a lone vector becomes (size, 1)."""
+    return c if c.ndim == 2 else c[:, None]
+
+
+def _plus_const(c: np.ndarray, s) -> np.ndarray:
+    """A fresh coefficient array c with s added to its constant part.
+
+    A lone c with per-member s becomes the stack of its shifted copies.
+    """
+    if c.ndim == 1 and not isinstance(s, float):
+        c = np.repeat(c[:, None], s.size, axis=1)
+    c[0] += s
+    return c
+
+
+def _stacked_product(ctx: AlgebraContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of coefficient stacks, member by member.
+
+    Each result coefficient is 0 + t1 + t2 + ... over its convolution terms
+    in table order, the order in which ``np.bincount`` accumulates them, so
+    every member has the bits of the lone product.
+    """
+    mi, mj, _ = ctx._multab
+    a, b = _column(a), _column(b)
+    terms = np.empty((mi.size + 1, max(a.shape[1], b.shape[1])))
+    terms[-1] = 0.0
+    np.multiply(a.take(mi, axis=0), b.take(mj, axis=0), out=terms[:-1])
+    slots = terms.take(ctx._slots, axis=0)
+    out = slots[0] + 0.0
+    for more in slots[1:]:
+        out += more
+    return out
+
+
 class TaylorPoly:
-    """One truncated multivariate Taylor polynomial over a fixed context."""
+    """One truncated multivariate Taylor polynomial, or a stack of them.
+
+    ``c`` has shape ``(size,)`` for one polynomial and ``(size, B)`` for a
+    stack of B members; ``const`` is then a float or a ``(B,)`` array.
+    """
 
     __slots__ = ("ctx", "c")
+    # numpy arrays on the left of an operator defer to the methods below, so
+    # an array of per-member values combines with a stack member by member
+    __array_priority__ = 1000
 
     def __init__(self, ctx: AlgebraContext, coeffs, _trust: bool = False):
         self.ctx = ctx
@@ -203,17 +281,18 @@ class TaylorPoly:
                 c[ctx.index[key]] = float(v)
         else:
             c = np.asarray(coeffs, dtype=np.float64)
-            if c.shape != (ctx.size,):
-                raise ValueError(f"coefficient vector must have length {ctx.size}")
+            if c.ndim not in (1, 2) or c.shape[0] != ctx.size:
+                raise ValueError(f"coefficient array must have {ctx.size} rows")
             c = c.copy()
         self.c = c
 
     # -- views -------------------------------------------------------------
 
     @property
-    def const(self) -> float:
-        """Constant (nominal) part."""
-        return float(self.c[0])
+    def const(self):
+        """Constant (nominal) part: a float, or one per member of a stack."""
+        c0 = self.c[0]
+        return float(c0) if self.c.ndim == 1 else c0.copy()
 
     def coeffs(self) -> dict[tuple[int, ...], float]:
         """Sparse view: exponent tuple -> nonzero coefficient."""
@@ -230,7 +309,12 @@ class TaylorPoly:
         return TaylorPoly(self.ctx, c, _trust=True)
 
     def is_zero(self) -> bool:
+        """True when every coefficient (of every member) is zero."""
         return not self.c.any()
+
+    def _zero_members(self):
+        """Whether each member is the zero polynomial: a bool, or one per member."""
+        return not self.c.any() if self.c.ndim == 1 else ~self.c.any(axis=0)
 
     def max_degree(self) -> int:
         nz = np.nonzero(self.c)[0]
@@ -253,6 +337,8 @@ class TaylorPoly:
         return "\n".join(lines) if lines else "0.0"
 
     def __repr__(self):
+        if self.c.ndim == 2:
+            return f"TaylorPoly({self.ctx.order},{self.ctx.nvars}; stack of {self.c.shape[1]})"
         return f"TaylorPoly({self.ctx.order},{self.ctx.nvars}; {self.dump().replace(chr(10), ' + ')})"
 
     # -- ring operations ----------------------------------------------------
@@ -261,16 +347,23 @@ class TaylorPoly:
         if not self.ctx.compatible(other.ctx):
             raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
 
+    # a Python float, the commonest scalar operand, takes the first test
+
     def __add__(self, other):
-        s = _coerce_scalar(other)
-        if s is not None:
+        if other.__class__ is float:
             c = self.c.copy()
-            c[0] += s
+            c[0] += other
             return TaylorPoly(self.ctx, c, _trust=True)
         if isinstance(other, TaylorPoly):
             self._check(other)
-            return TaylorPoly(self.ctx, self.c + other.c, _trust=True)
-        return NotImplemented
+            a, b = self.c, other.c
+            if a.ndim != b.ndim:
+                a, b = _column(a), _column(b)
+            return TaylorPoly(self.ctx, a + b, _trust=True)
+        s = _coerce_scalar(other)
+        if s is None:
+            return NotImplemented
+        return TaylorPoly(self.ctx, _plus_const(self.c.copy(), s), _trust=True)
 
     __radd__ = __add__
 
@@ -278,46 +371,61 @@ class TaylorPoly:
         return TaylorPoly(self.ctx, -self.c, _trust=True)
 
     def __sub__(self, other):
-        s = _coerce_scalar(other)
-        if s is not None:
+        if other.__class__ is float:
             c = self.c.copy()
-            c[0] -= s
+            c[0] -= other
             return TaylorPoly(self.ctx, c, _trust=True)
         if isinstance(other, TaylorPoly):
             self._check(other)
-            return TaylorPoly(self.ctx, self.c - other.c, _trust=True)
-        return NotImplemented
-
-    def __rsub__(self, other):
+            a, b = self.c, other.c
+            if a.ndim != b.ndim:
+                a, b = _column(a), _column(b)
+            return TaylorPoly(self.ctx, a - b, _trust=True)
         s = _coerce_scalar(other)
         if s is None:
             return NotImplemented
-        c = -self.c
-        c[0] += s
-        return TaylorPoly(self.ctx, c, _trust=True)
+        return TaylorPoly(self.ctx, _plus_const(self.c.copy(), -s), _trust=True)
+
+    def __rsub__(self, other):
+        if other.__class__ is float:
+            c = -self.c
+            c[0] += other
+            return TaylorPoly(self.ctx, c, _trust=True)
+        s = _coerce_scalar(other)
+        if s is None:
+            return NotImplemented
+        return TaylorPoly(self.ctx, _plus_const(-self.c, s), _trust=True)
 
     def __mul__(self, other):
-        s = _coerce_scalar(other)
-        if s is not None:
-            return TaylorPoly(self.ctx, self.c * s, _trust=True)
+        if other.__class__ is float:
+            return TaylorPoly(self.ctx, self.c * other, _trust=True)
         if isinstance(other, TaylorPoly):
             self._check(other)
-            mi, mj, mk = self.ctx._multab
-            c = np.bincount(mk, weights=self.c[mi] * other.c[mj],
-                            minlength=self.ctx.size)
-            return TaylorPoly(self.ctx, c, _trust=True)
-        return NotImplemented
+            ctx = self.ctx
+            a, b = self.c, other.c
+            if a.ndim == 1 and b.ndim == 1:
+                mi, mj, mk = ctx._multab
+                c = np.bincount(mk, weights=a[mi] * b[mj], minlength=ctx.size)
+            else:
+                c = _stacked_product(ctx, a, b)
+            return TaylorPoly(ctx, c, _trust=True)
+        s = _coerce_scalar(other)
+        if s is None:
+            return NotImplemented
+        c = self.c * s if isinstance(s, float) else _column(self.c) * s
+        return TaylorPoly(self.ctx, c, _trust=True)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        s = _coerce_scalar(other)
-        if s is not None:
-            return TaylorPoly(self.ctx, self.c / s, _trust=True)
         if isinstance(other, TaylorPoly):
             self._check(other)
             return self * other.reciprocal()
-        return NotImplemented
+        s = _coerce_scalar(other)
+        if s is None:
+            return NotImplemented
+        c = self.c / s if isinstance(s, float) else _column(self.c) / s
+        return TaylorPoly(self.ctx, c, _trust=True)
 
     def __rtruediv__(self, other):
         s = _coerce_scalar(other)
@@ -346,7 +454,7 @@ class TaylorPoly:
         if isinstance(other, TaylorPoly):
             return self.ctx.compatible(other.ctx) and np.array_equal(self.c, other.c)
         s = _coerce_scalar(other)
-        if s is not None:
+        if isinstance(s, float):
             return self.c[0] == s and not self.c[1:].any()
         return NotImplemented
 
@@ -360,8 +468,8 @@ class TaylorPoly:
         if not 1 <= j <= self.ctx.nvars:
             raise IndexError(f"variable index {j} out of range 1..{self.ctx.nvars}")
         src, dst, fac = self.ctx._dtabs[j - 1]
-        c = np.zeros(self.ctx.size)
-        c[dst] = self.c[src] * fac
+        c = np.zeros_like(self.c)
+        c[dst] = (self.c[src].T * fac).T
         return TaylorPoly(self.ctx, c, _trust=True)
 
     def eval(self, point: Sequence[float]) -> float:
@@ -413,67 +521,75 @@ class TaylorPoly:
         return float(np.abs(self.c[1:]).sum())
 
     # -- intrinsics -----------------------------------------------------------
+    # Series coefficients are functions of the constant part, evaluated per
+    # member by generic.each; every decision on a constant part goes through
+    # generic.branch, which refuses a stack whose members disagree.
 
-    def _series(self, series_coeffs: Sequence[float]) -> "TaylorPoly":
-        """Horner composition of scalar series coefficients with the nilpotent part."""
+    def _series(self, series_coeffs: Sequence) -> "TaylorPoly":
+        """Horner composition of series coefficients with the nilpotent part."""
         q = self.nilpotent()
         out = self.ctx.constant(series_coeffs[-1])
         for ck in reversed(series_coeffs[:-1]):
             out = out * q + ck
         return out
 
+    def _zero_like(self) -> "TaylorPoly":
+        return TaylorPoly(self.ctx, np.zeros_like(self.c), _trust=True)
+
     def exp(self) -> "TaylorPoly":
-        a = self.const
-        ea = math.exp(a)
+        ea = each(math.exp, self.const)
         coeffs = [ea / math.factorial(k) for k in range(self.ctx.order + 1)]
         return self._series(coeffs)
 
     def log(self) -> "TaylorPoly":
         a = self.const
-        if a <= 0.0:
+        if branch(a <= 0.0):
             raise ValueError(f"log requires positive constant part, got {a}")
-        coeffs = [math.log(a)]
-        coeffs += [(-1.0) ** (k + 1) / (k * a**k) for k in range(1, self.ctx.order + 1)]
+        coeffs = [each(math.log, a)]
+        coeffs += [(-1.0) ** (k + 1) / (k * each(pow, a, k))
+                   for k in range(1, self.ctx.order + 1)]
         return self._series(coeffs)
 
     def sqrt(self) -> "TaylorPoly":
-        if self.is_zero():
-            return self.ctx.zero()
+        if branch(self._zero_members()):
+            return self._zero_like()
         a = self.const
-        if a <= 0.0:
+        if branch(a <= 0.0):
             raise ValueError(f"sqrt requires positive constant part, got {a}")
         coeffs, binom = [], 1.0
         for k in range(self.ctx.order + 1):
-            coeffs.append(binom * a ** (0.5 - k))
+            coeffs.append(binom * each(pow, a, 0.5 - k))
             binom *= (0.5 - k) / (k + 1)
         return self._series(coeffs)
 
     def reciprocal(self) -> "TaylorPoly":
         a = self.const
-        if a == 0.0:
+        if branch(a == 0.0):
             raise ZeroDivisionError("division by polynomial with zero constant part")
-        coeffs = [(-1.0) ** k / a ** (k + 1) for k in range(self.ctx.order + 1)]
+        coeffs = [(-1.0) ** k / each(pow, a, k + 1) for k in range(self.ctx.order + 1)]
         return self._series(coeffs)
 
     def pow(self, r: float) -> "TaylorPoly":
         a = self.const
-        if a <= 0.0:
+        if branch(a <= 0.0):
             raise ValueError(f"fractional pow requires positive constant part, got {a}")
         coeffs, binom = [], 1.0
         for k in range(self.ctx.order + 1):
-            coeffs.append(binom * a ** (r - k))
+            coeffs.append(binom * each(pow, a, r - k))
             binom *= (r - k) / (k + 1)
         return self._series(coeffs)
 
     def sin(self) -> "TaylorPoly":
         a = self.const
-        cycle = [math.sin(a), math.cos(a), -math.sin(a), -math.cos(a)]
+        s, c = each(math.sin, a), each(math.cos, a)
+        cycle = [s, c, -s, -c]
         coeffs = [cycle[k % 4] / math.factorial(k) for k in range(self.ctx.order + 1)]
         return self._series(coeffs)
 
     def cos(self) -> "TaylorPoly":
         a = self.const
-        cycle = [math.cos(a), -math.sin(a), -math.cos(a), math.sin(a)]
+        s, c = each(math.sin, a), each(math.cos, a)
+        cycle = [c, -s, -c, s]
         coeffs = [cycle[k % 4] / math.factorial(k) for k in range(self.ctx.order + 1)]
         return self._series(coeffs)
 
@@ -482,7 +598,7 @@ class TaylorPoly:
 
     def _atan_nilpotent(self) -> "TaylorPoly":
         # Maclaurin of atan composed with a zero-constant argument
-        if self.const != 0.0:
+        if branch(self.const != 0.0):
             raise ValueError("internal: argument must have zero constant part")
         coeffs = [0.0] * (self.ctx.order + 1)
         for k in range(1, self.ctx.order + 1, 2):
@@ -492,43 +608,47 @@ class TaylorPoly:
     def atan(self) -> "TaylorPoly":
         a = self.const
         u = (self - a) * (1.0 + self * a).reciprocal()
-        return u._atan_nilpotent() + math.atan(a)
+        return u._atan_nilpotent() + each(math.atan, a)
 
     def atan2(self, x: "TaylorPoly | float") -> "TaylorPoly":
         """Polar angle atan2(self, x), expanded around the constant parts."""
         y = self
         if not isinstance(x, TaylorPoly):
-            x = self.ctx.constant(float(x))
+            x = self.ctx.constant(x)
         y._check(x)
         ybar, xbar = y.const, x.const
-        if xbar == 0.0 and ybar == 0.0:
-            if y.is_zero() and x.is_zero():
-                return self.ctx.zero()
+        if branch((xbar == 0.0) & (ybar == 0.0)):
+            if branch(y._zero_members() & x._zero_members()):
+                return y._zero_like() + x._zero_like()
             raise ValueError("atan2 undefined: both constant parts are zero")
         # tan(theta - theta0) = (y*x0 - x*y0) / (x*x0 + y*y0); RHS is nilpotent
         num = y * xbar - x * ybar
         den = x * xbar + y * ybar
         u = num * den.reciprocal()
-        return u._atan_nilpotent() + math.atan2(ybar, xbar)
+        return u._atan_nilpotent() + each(math.atan2, ybar, xbar)
 
     def asin(self) -> "TaylorPoly":
         a = self.const
-        if not -1.0 < a < 1.0:
+        if not (branch(-1.0 < a) and branch(a < 1.0)):
             raise ValueError(f"asin requires |constant part| < 1, got {a}")
         return self.atan2((1.0 - self * self).sqrt())
 
     def absolute(self) -> "TaylorPoly":
         """|p| as a smooth local branch; requires a nonzero constant part."""
-        if self.is_zero():
-            return self.ctx.zero()
+        if branch(self._zero_members()):
+            return self._zero_like()
         a = self.const
-        if a == 0.0:
+        if branch(a == 0.0):
             raise ValueError("absolute value non-smooth at zero constant part")
-        return self if a > 0 else -self
+        return self if branch(a > 0) else -self
 
 
 class DAVector:
-    """Ordered tuple of polynomials sharing one context (a DA state vector)."""
+    """Ordered tuple of polynomials sharing one context (a DA state vector).
+
+    Its components may be stacks: ``DAVector.stack`` lays several vectors
+    side by side and ``members`` takes them apart again.
+    """
 
     __slots__ = ("components",)
 
@@ -574,6 +694,26 @@ class DAVector:
             comps.append(TaylorPoly(ctx, c, _trust=True))
         return cls(comps)
 
+    @classmethod
+    def stack(cls, vectors: Sequence["DAVector"]) -> "DAVector":
+        """One vector whose components stack the given vectors' components."""
+        first = vectors[0]
+        return cls(
+            TaylorPoly(first.ctx, np.stack([v[i].c for v in vectors], axis=1), _trust=True)
+            for i in range(len(first))
+        )
+
+    def members(self, width: int) -> list["DAVector"]:
+        """The ``width`` member vectors of a stacked vector.
+
+        A lone component is the same polynomial in every member.
+        """
+        cols = [np.broadcast_to(_column(p.c), (p.c.shape[0], width)) for p in self.components]
+        return [
+            DAVector([TaylorPoly(self.ctx, col[:, b].copy(), _trust=True) for col in cols])
+            for b in range(width)
+        ]
+
     def constant_part(self) -> np.ndarray:
         return np.array([p.const for p in self.components])
 
@@ -593,3 +733,7 @@ class DAVector:
 
     def __repr__(self):
         return f"DAVector({len(self.components)} components, {self.ctx})"
+
+
+# generic imports this module; its helpers are bound once both are loaded
+from .generic import branch, each  # noqa: E402

@@ -78,7 +78,11 @@ class TestRun:
         metrics = json.loads((outdir / "metrics.json").read_text())
         assert metrics["n_kernels"] == len(weights)
         assert "config_hash" in metrics["meta"]
-        assert (outdir / "timings.csv").exists()
+        counters = metrics["counters"]
+        assert counters["batch_fallbacks"] == 0
+        assert counters["target_evals"] == sum(counters["domains_per_generation"])
+        assert counters["domains_per_generation"][0] == 1
+        assert "target_evals" not in (outdir / "timings.csv").read_text()
         assert (outdir / "kernels.csv").exists()
 
     def test_eps_override_forces_single_kernel(self, tiny_config, tmp_path):

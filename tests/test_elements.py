@@ -146,6 +146,17 @@ class TestConversions:
         by_col = np.column_stack(cols)
         assert np.all(np.abs(by_col - by_row) <= 1e-14 * np.abs(by_row).max(axis=0))
 
+    @pytest.mark.parametrize("target", ALL_NONCART, ids=lambda s: s.label())
+    def test_whole_columns_from_cartesian_match_rows(self, target):
+        # the cartesian-to-set direction of the test above
+        rng = np.random.default_rng(8)
+        rows = np.array([convert_values(random_elliptic_kepler(rng), KEPLERIAN, CARTESIAN, MU)[0]
+                         for _ in range(200)])
+        by_row = np.array([convert_values(list(r), CARTESIAN, target, MU)[0] for r in rows])
+        cols, _ = convert_values(list(rows.T), CARTESIAN, target, MU)
+        by_col = np.column_stack(cols)
+        assert np.all(np.abs(by_col - by_row) <= 1e-14 * np.abs(by_row).max(axis=0))
+
     def test_vis_viva_consistency(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

@@ -4,7 +4,8 @@ Two reduced low-fidelity stages, one per theory and element set, whose
 kernel count, split histories and weights are pinned.  The pinned values
 were read off the program before the split loop evaluated domains in stacked
 batches; any change to them must be shown to follow from a change of the
-maps, not of the loop.
+maps, not of the loop.  Both runs must also evaluate every stack of domains
+in one call, with no member-by-member fallback.
 """
 
 import hashlib
@@ -52,3 +53,6 @@ def test_golden_manifold(case, library):
     assert stage.n_kernels == kernels
     assert histories_digest(stage.inputs) == digest
     assert weight_checksum(stage.inputs) == pytest.approx(checksum, rel=1e-12)
+    # every stacked call of the split loop went through as one stack
+    assert stage.stats.batch_fallbacks == 0
+    assert stage.stats.target_evals == sum(stage.stats.domains_per_generation)

@@ -270,6 +270,20 @@ class TestPropagateHf:
             np.testing.assert_array_equal(row_end[0], scalar_end)
             np.testing.assert_array_equal(da_end.constant_part(), scalar_end)
 
+    def test_mixed_polynomial_and_float_state(self):
+        # float entries act as constant polynomials: the result equals the
+        # all-polynomial state's, whose constant part is the float run
+        y0 = [7000.0, 0.0, 0.0, 0.0, 7.546, 0.0]
+        ctx = AlgebraContext(2, 1)
+        x = ctx.variable(1)
+        mixed = propagate_hf([x + 7000.0] + y0[1:], 0.0, 2000.0, TWO_BODY)
+        lifted = propagate_hf([x + 7000.0] + [ctx.constant(v) for v in y0[1:]], 0.0, 2000.0,
+                              TWO_BODY)
+        for p, q in zip(mixed, lifted):
+            np.testing.assert_array_equal(p.c, q.c)
+        np.testing.assert_array_equal([p.const for p in mixed],
+                                      propagate_hf(np.array(y0), 0.0, 2000.0, TWO_BODY))
+
     def test_da_first_order_matches_finite_differences(self):
         y0 = np.array([7000.0, 0, 0, 0, math.sqrt(MU / 7000.0), 0])
         t_end = 2000.0

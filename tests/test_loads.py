@@ -9,10 +9,12 @@ from scipy.integrate import quad
 from orbuq.gmm import GaussianKernel, GaussianMixture, gaussian_pdf, generate_split_library
 from orbuq.loads import (
     LoadsConfig,
+    SplitStats,
     directional_nli,
     initial_domain,
     loads,
     loads_gmm,
+    map_stacked,
     nli,
     raw_jacobian,
     scaled_jacobian,
@@ -331,6 +333,50 @@ class TestLoads:
         d = initial_domain([0.0], np.array([[1.0]]), ci=3.0)
         m_in, _ = loads(quadratic_scalar_map, d, cfg)
         assert len(m_in) == 1 and m_in[0].nsplits == 0
+
+
+def sqrt_map(state):
+    return DAVector([p.sqrt() for p in state])
+
+
+class TestMapStacked:
+    @staticmethod
+    def states(consts):
+        ctx = AlgebraContext(2, 2)
+        return [DAVector([ctx.constant(c) + 0.1 * ctx.variable(1), ctx.constant(2.0 * c)
+                          + 0.2 * ctx.variable(2)]) for c in consts]
+
+    def test_one_call_per_chunk_in_order(self):
+        states = self.states(np.linspace(1.0, 2.0, 130))
+        widths = []
+
+        def f(state):
+            widths.append(state[0].c.shape[1:])
+            return sqrt_map(state)
+
+        stats = SplitStats()
+        images = list(map_stacked(f, states, stats))
+        assert widths == [(64,), (64,), (2,)]
+        assert (stats.target_evals, stats.batch_fallbacks) == (130, 0)
+        for got, state in zip(images, states):
+            for p, q in zip(got, sqrt_map(state)):
+                np.testing.assert_array_equal(p.c, q.c)
+        assert list(map_stacked(f, states[:1], stats))[0][0].c.ndim == 1
+
+    def test_failing_stack_is_redone_member_by_member(self):
+        # the members disagree at sqrt's sign check, so the chunk is redone
+        # alone: two images, then the lone error of the third member
+        states = self.states([1.0, 2.0, -1.0, 3.0])
+        stats = SplitStats()
+        images = []
+        with pytest.raises(ValueError, match="positive constant part"):
+            for y in map_stacked(sqrt_map, states, stats):
+                images.append(y)
+        assert len(images) == 2 and stats.batch_fallbacks == 1
+        assert stats.target_evals == 4 + 3
+        for got, state in zip(images, states):
+            for p, q in zip(got, sqrt_map(state)):
+                np.testing.assert_array_equal(p.c, q.c)
 
 
 class TestLoadsGmm:

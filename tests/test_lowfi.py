@@ -21,7 +21,7 @@ from orbuq.lowfi import (
     wrap_residual,
 )
 from orbuq.sgp4 import Sgp4, Sgp4Error, TleRecord, WGS72, format_tle, parse_tle
-from orbuq.ta import AlgebraContext, DAVector
+from orbuq.ta import AlgebraContext, DAVector, TaylorPoly
 from orbuq.cli import load_sgp4_reference
 from orbuq.timeutil import jday_from_civil, jday_from_iso, seconds_since_j2000
 
@@ -237,6 +237,49 @@ class TestOscToMean:
         cart = th.propagate_mean(MeanElements(th.name, 0.0, vals), 0.0)
         with pytest.raises(RuntimeError):
             osc_to_mean(th, 0.0, cart, eps_max=1e-16, i_max=3)
+
+
+class TestStackedTheories:
+    """Stacked DA states propagate and invert member by member, bit for bit."""
+
+    @staticmethod
+    def assert_members_alone(stacked_values, lone_results):
+        for b, lone in enumerate(lone_results):
+            for p, q in zip(stacked_values, lone):
+                assert np.array_equal(p.c[:, b].view(np.int64), q.c.view(np.int64))
+
+    @pytest.mark.parametrize("theory", [Sgp4Theory(), KeplerJ2Theory(mu=MU)],
+                             ids=["sgp4", "kepler_j2"])
+    def test_propagation_matches_alone(self, theory):
+        ctx = AlgebraContext(2, 6)
+        var = [ctx.variable(j + 1) for j in range(6)]
+        means = []
+        for a, e in ((6678.0, 0.01), (7000.0, 0.03), (7200.0, 0.002)):
+            mean_set = [a, e, 0.3, 0.1, 0.2, 0.5]
+            if theory.name == "kepler_j2":
+                cart, _ = convert_values(mean_set, KEPLERIAN, CARTESIAN, MU)
+                mean_set, _ = convert_values(cart, CARTESIAN, EQUINOCTIAL_LAM, MU)
+            scale = [1.0, 1e-4, 1e-4, 1e-4, 1e-4, 1e-4]
+            means.append([v + s * x for v, s, x in zip(mean_set, scale, var)])
+        stacked = MeanElements(theory.name, 0.0, [
+            TaylorPoly(ctx, np.stack([m[i].c for m in means], axis=1)) for i in range(6)])
+        got = theory.propagate_mean(stacked, 5400.0)
+        self.assert_members_alone(
+            got, [theory.propagate_mean(MeanElements(theory.name, 0.0, m), 5400.0)
+                  for m in means])
+
+    def test_inversion_members_converge_on_their_own(self):
+        # these members need 14, 10, 7 and 7 passes alone; each keeps the
+        # mean it converged to while the others iterate on
+        th = Sgp4Theory()
+        ctx = AlgebraContext(2, 6)
+        states = []
+        for e in (0.005, 0.01, 0.03, 0.05):
+            rv, _ = convert_values([7000.0, e, 0.5, 0.3, 0.2, 0.1], KEPLERIAN, CARTESIAN, th.mu)
+            states.append(DAVector.affine(ctx, rv, np.diag([1, 1, 1, 1e-3, 1e-3, 1e-3])))
+        got = osc_to_mean(th, 0.0, list(DAVector.stack(states)))
+        self.assert_members_alone(got.values,
+                                  [osc_to_mean(th, 0.0, list(s)).values for s in states])
 
 
 class TestLfTarget:

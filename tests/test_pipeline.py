@@ -14,6 +14,7 @@ from orbuq.elements import (
     CARTESIAN,
     EQUINOCTIAL_L,
     EQUINOCTIAL_LAM,
+    KEPLERIAN,
     FrameModel,
     convert_values,
 )
@@ -154,6 +155,29 @@ class TestMfPropagate:
         # the single-kernel HF time is measured by runtime_report, on request
         assert "t_pw_hf_s" not in identity_result.timings
 
+    def test_counters_count_each_domain_once(self, monkeypatch):
+        # the dominant root is evaluated once: for nu_single and t_da_lf_s,
+        # and its image starts the split loop
+        calls = []
+        real = pipeline.lf_target
+
+        def counting_target(*args, **kwargs):
+            f = real(*args, **kwargs)
+
+            def g(state):
+                calls.append(state[0].c.shape[1:] or (1,))
+                return f(state)
+            return g
+
+        monkeypatch.setattr(pipeline, "lf_target", counting_target)
+        sc = kepler_identity_scenario(eps_nu=1e-3, lf_j2=None, n_max=2)
+        stage = lf_stage(sc)
+        stats = stage.stats
+        assert stats.domains_per_generation == [1, 3, 9]
+        assert stats.target_evals == 13 == sum(n for (n,) in calls)
+        assert [n for (n,) in calls] == [1, 3, 9]
+        assert stats.batch_fallbacks == 0
+
     def test_one_propagation_per_chunk(self, monkeypatch):
         # the kernel means are corrected in _CHUNK-row batches and nothing
         # else is propagated
@@ -273,6 +297,22 @@ class TestMcReference:
             sc.integrator, sc.spacecraft, threads=4, chunk=3,
         )
         np.testing.assert_array_equal(seq, par)
+
+
+class TestRowsFromCartesian:
+    def test_mixed_branches_convert_row_by_row(self):
+        # an equatorial row among inclined ones takes the other Keplerian
+        # chart, so the rows are converted one at a time, exactly
+        mu = 398600.4355
+        rows = np.array([
+            convert_values([7000.0 + 100 * i, 0.01, inc, 0.3, 0.2, 0.1 * i], KEPLERIAN,
+                           CARTESIAN, mu)[0]
+            for i, inc in enumerate([0.5, 0.0, 0.9])
+        ])
+        got = pipeline._rows_from_cartesian(rows, KEPLERIAN, mu, angle_ref=np.full(3, 20.0))
+        want = np.array([convert_values(list(r), CARTESIAN, KEPLERIAN, mu)[0] for r in rows])
+        want[:, 5] += 6 * math.pi
+        np.testing.assert_array_equal(got, want)
 
 
 class TestMfSampleEval:

@@ -336,3 +336,89 @@ def test_dump_roundtrip():
     lines = text.splitlines()
     assert lines[0] == "1.5"
     assert lines[-1].endswith("dx1^1 dx2^1")
+
+
+def same_bits(stacked, alone, member):
+    """Member ``member`` of a stacked polynomial has the lone polynomial's bits."""
+    return np.array_equal(stacked.c[:, member].view(np.int64), alone.c.view(np.int64))
+
+
+def stack(polys):
+    return TaylorPoly(polys[0].ctx, np.stack([p.c for p in polys], axis=1))
+
+
+class TestStacks:
+    """A stack of polynomials computes every member as it would alone, bit for bit."""
+
+    PROGRAMS = {
+        # criterion 3's randomized programs
+        "assoc_left": lambda a, b, c: (a + b) + c,
+        "assoc_right": lambda a, b, c: a + (b + c),
+        "distrib_left": lambda a, b, c: a * (b + c),
+        "distrib_right": lambda a, b, c: a * b + a * c,
+        "sqrt": lambda a, b, c: (a + 2.0).sqrt(),
+        "exp": lambda a, b, c: (a + 2.0).exp(),
+        "sin": lambda a, b, c: a.sin(),
+        "exp_partials": lambda a, b, c: sum(((a + 2.0).exp().partial(j) for j in (1, 2, 3)),
+                                            a.ctx.zero()),
+        # the other intrinsics, scalars and powers
+        "log_cos_tan": lambda a, b, c: (a + 2.0).log() * a.cos() - (0.3 * b).tan(),
+        "recip_pow": lambda a, b, c: (b + 3.0).reciprocal() + (c + 2.0) ** 1.5 + (a - 4.0) ** 3,
+        "atan_family": lambda a, b, c: (0.5 * a).atan() + a.atan2(b + 3.0) + (0.3 * c).asin(),
+        "scalars": lambda a, b, c: 2.5 - a / 3.0 + 7.0 * b - 1.0 / (c + 4.0),
+        "absolute": lambda a, b, c: (a + 3.0).absolute() + (b - 3.0).absolute(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_programs_match_alone(self, name):
+        rng = np.random.default_rng(3)
+        ctx = AlgebraContext(2, 3)
+        prog = self.PROGRAMS[name]
+        members = [[random_poly(ctx, rng) for _ in range(3)] for _ in range(40)]
+        out = prog(*(stack([m[i] for m in members]) for i in range(3)))
+        assert out.c.shape == (ctx.size, 40)
+        for b, m in enumerate(members):
+            assert same_bits(out, prog(*m), b)
+
+    def test_lone_operands_and_per_member_scalars(self):
+        rng = np.random.default_rng(4)
+        ctx = AlgebraContext(2, 6)
+        lone = random_poly(ctx, rng)
+        members = [random_poly(ctx, rng) for _ in range(5)]
+        scalars = rng.uniform(1.0, 2.0, 5)
+        st = stack(members)
+        out = [lone * st + scalars, scalars * st - lone, st / scalars, lone - scalars,
+               (scalars - st) * lone, ctx.constant(scalars).atan2(lone + 2.0)]
+        for b, p in enumerate(members):
+            s = scalars[b]
+            want = [lone * p + s, s * p - lone, p / s, lone - s, (s - p) * lone,
+                    ctx.constant(s).atan2(lone + 2.0)]
+            for got, w in zip(out, want):
+                assert same_bits(got, w, b)
+        np.testing.assert_array_equal(st.const, [p.const for p in members])
+
+    def test_members_disagreeing_at_a_branch_raise(self):
+        from orbuq.generic import MixedBranch
+
+        ctx = AlgebraContext(2, 2)
+        st = stack([ctx.constant(1.0) + ctx.variable(1), ctx.constant(-1.0) + ctx.variable(2)])
+        with pytest.raises(MixedBranch):
+            st.sqrt()
+        with pytest.raises(MixedBranch):
+            st.absolute()
+        with pytest.raises(ValueError, match="positive"):
+            (st - 5.0).log()  # every member is out of range: the lone error
+
+    def test_davector_stack_and_members(self):
+        rng = np.random.default_rng(5)
+        ctx = AlgebraContext(2, 3)
+        vecs = [DAVector([random_poly(ctx, rng) for _ in range(4)]) for _ in range(3)]
+        st = DAVector.stack(vecs)
+        assert [p.c.shape for p in st] == [(ctx.size, 3)] * 4
+        for got, want in zip(st.members(3), vecs):
+            for p, q in zip(got, want):
+                np.testing.assert_array_equal(p.c, q.c)
+                assert p.c.flags.c_contiguous
+        # a lone component is the same polynomial in every member
+        mixed = DAVector([st[0], ctx.constant(2.0)])
+        assert all(np.array_equal(m[1].c, ctx.constant(2.0).c) for m in mixed.members(3))
