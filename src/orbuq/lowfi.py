@@ -180,7 +180,11 @@ class Sgp4Theory:
 
 
 def _residual_norm(parts):
-    """Euclidean norm of the constant parts: a float, or one per member."""
+    """Euclidean norm of the constant parts: a float, or one per member.
+
+    Members are normed one at a time, so each gets the bits of its lone
+    norm and stops at the pass where it would stop alone.
+    """
     if np.ndim(parts[0]) == 0:
         return float(np.linalg.norm(parts))
     return np.array([np.linalg.norm(col) for col in np.array(parts).T])
