@@ -6,11 +6,15 @@ third-body terms, the modified Harris-Priester static atmosphere with a
 diurnal-bulge exponent tied to the orbit inclination, and a cannonball SRP
 model with a dual-cone umbra/penumbra shadow factor (linear penumbra ramp).
 
-All force evaluations are written component-wise so the same code serves
-plain floats, numpy sample batches of shape (N,) per component, and Taylor
-polynomials.  Time is always a plain float (or float array), measured in
-seconds since J2000; value-dependent table lookups and shadow branches act on
-constant parts for polynomial states.
+Every force takes its position and velocity as three components, each a
+plain float, a numpy column of shape (N,) for a sample batch, or a Taylor
+polynomial; one code path serves all three.  The third-body, drag and SRP
+terms are written component by component.  Gravity fills the Cunningham
+table one degree at a time, each order as one array slice, and sums it with
+one fixed linear form (``_HarmonicForm``); a polynomial state goes through
+that code as a one-element object column.  Time is always a plain float (or
+float array), measured in seconds since J2000; value-dependent table lookups
+and shadow branches act on constant parts for polynomial states.
 
 Units: km, kg, s; accelerations in km/s^2.  Spacecraft area is in m^2.
 """
@@ -18,14 +22,14 @@ Units: km, kg, s; accelerations in km/s^2.  Spacecraft area is in m^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .generic import cons, cos, cross3, dot3, is_poly, norm3, power, sin, sqrt
-from .timeutil import DAY_S, jd_from_seconds, julian_centuries
+from .generic import cons, cross3, is_poly, norm3, power, sqrt
+from .timeutil import DAY_S, julian_centuries
 
 __all__ = [
     "SpacecraftParams", "ForceConfig", "GravityField", "load_gravity_field",
@@ -160,12 +164,141 @@ def gmst_angle(t_s):
     return np.mod(sec * (math.pi / 43200.0) / 60.0, 2.0 * math.pi)
 
 
+class _HarmonicForm:
+    """Cunningham V/W table of one field and the linear form of its acceleration.
+
+    ``V[n, m]`` and ``W[n, m]`` (Montenbruck & Gill, *Satellite Orbits*,
+    §3.2) fill one degree at a time: every order below the diagonal as one
+    slice,
+
+        V[n, m] = a[n, m] z0 V[n-1, m] - b[n, m] rho V[n-2, m]   (W alike),
+
+    with a = (2n-1)/(n-m) and b = (n+m-1)/(n-m), and then the diagonal,
+
+        V[n, n] = (2n-1) (x0 V[n-1, n-1] - y0 W[n-1, n-1])
+        W[n, n] = (2n-1) (x0 W[n-1, n-1] + y0 V[n-1, n-1]).
+
+    The table is packed by degree: (2, P) entries, V then W, degree n at
+    ``n(n+1)/2 + m``.  The Earth-fixed acceleration is the fixed linear form
+    ``coef`` (2P, 3) of the flattened table.
+    """
+
+    def __init__(self, fld: GravityField, mu: float, re_km: float):
+        nmax = fld.nmax
+        nv = nmax + 1  # the sums read degree n+1
+        at = [n * (n + 1) // 2 for n in range(nv + 2)]
+        self.size = at[nv + 1]
+        self.re = re_km
+        a = np.zeros(self.size)
+        b = np.zeros(self.size)
+        for n in range(1, nv + 1):
+            for m in range(n):
+                a[at[n] + m] = (2 * n - 1) / (n - m)
+                b[at[n] + m] = (n + m - 1) / (n - m)
+        # one list of per-degree steps for float scalars (ndim 0) and one for
+        # columns (ndim 1), whose slot constants broadcast along the rows
+        self.steps = []
+        for ndim in (0, 1):
+            col = (slice(None),) + (None,) * ndim
+            steps = []
+            for n in range(1, nv + 1):
+                below = slice(at[n], at[n] + n)         # orders 0 .. n-1 of degree n
+                prev = slice(at[n - 1], at[n - 1] + n)  # the same orders of degree n-1
+                low = slice(at[n], at[n] + n - 1)       # orders that also read degree n-2
+                prev2 = slice(at[n - 2], at[n - 2] + n - 1) if n >= 2 else None
+                steps.append((below, prev, a[below][col], low, prev2, b[low][col],
+                              at[n] + n, at[n] - 1, 2.0 * n - 1.0))
+            self.steps.append(steps)
+
+        form = np.zeros((2, self.size, 3))
+        v, w = form
+        for deg in range(nmax + 1):
+            row = at[deg + 1]
+            for order in range(deg + 1):
+                c, s = fld.c[deg, order], fld.s[deg, order]
+                if order == 0:
+                    v[row + 1, 0] -= c
+                    w[row + 1, 1] -= c
+                else:
+                    fac = 0.5 * (deg - order + 2) * (deg - order + 1)
+                    up, down = row + order + 1, row + order - 1
+                    v[up, 0] -= 0.5 * c
+                    w[up, 0] -= 0.5 * s
+                    v[down, 0] += fac * c
+                    w[down, 0] += fac * s
+                    w[up, 1] -= 0.5 * c
+                    v[up, 1] += 0.5 * s
+                    w[down, 1] -= fac * c
+                    v[down, 1] += fac * s
+                v[row + order, 2] -= (deg - order + 1) * c
+                w[row + order, 2] -= (deg - order + 1) * s
+        self.coef = form.reshape(-1, 3) * (mu / (re_km * re_km))
+
+    def __call__(self, xe, ye, ze):
+        """Earth-fixed acceleration of positions given as float scalars, or as
+        float or object columns; shape (3,) + the shape of ``xe``."""
+        re = self.re
+        r2 = xe * xe + ye * ye + ze * ze
+        rinv = 1.0 / _sqrt_keeping_constant(r2)
+        sr = re * (rinv * rinv)
+        x0, y0, z0 = sr * xe, sr * ye, sr * ze
+        rho = re * sr
+        y0s = np.array([-y0, y0])  # W enters V's diagonal negated
+        tab = np.empty((2, self.size) + np.shape(xe), dtype=np.result_type(x0))
+        tab[0, 0] = re * rinv
+        tab[1, 0] = 0.0
+        for below, prev, a, low, prev2, b, diag, last, k in self.steps[np.ndim(xe)]:
+            v = tab[:, below]
+            np.multiply(z0, tab[:, prev], out=v)
+            v *= a
+            if prev2 is not None:
+                u = rho * tab[:, prev2]
+                u *= b
+                tab[:, low] -= u
+            d = tab[:, diag]
+            np.multiply(x0, tab[:, last], out=d)
+            d += y0s * tab[::-1, last]
+            d *= k
+        # without ``optimize`` einsum sums the slots in index order, so a row's
+        # bits do not depend on the batch width (BLAS would block the sum)
+        return np.einsum("ji,j...->i...", self.coef, tab.reshape((-1,) + np.shape(xe)))
+
+
+def _sqrt_keeping_constant(x):
+    """Square root of float scalars or columns, or of an object column.
+
+    A polynomial's ``sqrt`` takes its constant part from ``pow(a, 0.5)``,
+    which rounds differently from ``sqrt(a)`` for about one value in 1,300.
+    Scaling by the constant part first keeps the constant part of the
+    polynomial result equal to the float result.
+    """
+    if np.result_type(x) != object:
+        return np.sqrt(x)
+    a = cons(x)
+    return np.sqrt(a) * np.sqrt(x / a)
+
+
+_FORM_CACHE: dict[tuple, _HarmonicForm] = {}
+_BLOCK = 1024  # most rows per V/W table: bounds the work set of large batches
+
+
+def _form_for(cfg: ForceConfig) -> _HarmonicForm:
+    key = (cfg.gravity_path, cfg.degree, cfg.order, cfg.mu, cfg.re_km)
+    if key not in _FORM_CACHE:
+        _FORM_CACHE[key] = _HarmonicForm(_field_for(cfg), cfg.mu, cfg.re_km)
+    return _FORM_CACHE[key]
+
+
 def gravity_acceleration(r3, cfg: ForceConfig, t_s):
     """Central plus harmonic gravity in the inertial frame.
 
     Positions rotate into the Earth-fixed frame by the GMST spin (no polar
-    motion or nutation), the Cunningham V/W recursion runs up to degree+1, and
-    the resulting acceleration rotates back.
+    motion or nutation), the V/W table of ``_HarmonicForm`` runs up to
+    degree+1, and the resulting acceleration rotates back.  Components are
+    float scalars, (N,) columns, or polynomials; a polynomial state is
+    evaluated as a one-element object column, so that every operation on it
+    stays elementwise.  Columns longer than ``_BLOCK`` run in even blocks,
+    none of width one.
     """
     if cfg.degree == 0:
         rmag = norm3(r3)
@@ -174,61 +307,21 @@ def gravity_acceleration(r3, cfg: ForceConfig, t_s):
 
     theta = gmst_angle(t_s)
     ct, st = np.cos(theta), np.sin(theta)
-    xe = ct * r3[0] + st * r3[1]
-    ye = -st * r3[0] + ct * r3[1]
-    ze = r3[2]
+    pos = [ct * r3[0] + st * r3[1], -st * r3[0] + ct * r3[1], r3[2]]
+    poly = any(is_poly(x) for x in pos)
+    if poly:
+        pos = [np.array([x], dtype=object) for x in pos]
 
-    fld = _field_for(cfg)
-    nmax = cfg.degree
-    re = cfg.re_km
-    r2 = xe * xe + ye * ye + ze * ze
-    rho = re * re / r2
-    x0 = re * xe / r2
-    y0 = re * ye / r2
-    z0 = re * ze / r2
-
-    # V/W recursion up to degree nmax+1 (needed by the acceleration sums)
-    nv = nmax + 1
-    V = [[None] * (nv + 1) for _ in range(nv + 1)]
-    W = [[None] * (nv + 1) for _ in range(nv + 1)]
-    V[0][0] = re / sqrt(r2)
-    W[0][0] = 0.0
-    for m in range(0, nv + 1):
-        if m > 0:
-            V[m][m] = (2 * m - 1) * (x0 * V[m - 1][m - 1] - y0 * W[m - 1][m - 1])
-            W[m][m] = (2 * m - 1) * (x0 * W[m - 1][m - 1] + y0 * V[m - 1][m - 1])
-        for n in range(m + 1, nv + 1):
-            vprev2 = V[n - 2][m] if n - 2 >= m else 0.0
-            wprev2 = W[n - 2][m] if n - 2 >= m else 0.0
-            V[n][m] = ((2 * n - 1) * z0 * V[n - 1][m] - (n + m - 1) * rho * vprev2) / (n - m)
-            W[n][m] = ((2 * n - 1) * z0 * W[n - 1][m] - (n + m - 1) * rho * wprev2) / (n - m)
-
-    gmr2 = cfg.mu / (re * re)
-    ax = 0.0
-    ay = 0.0
-    az = 0.0
-    C, S = fld.c, fld.s
-    for n in range(0, nmax + 1):
-        for m in range(0, n + 1):
-            cnm, snm = C[n, m], S[n, m]
-            if cnm == 0.0 and snm == 0.0:
-                continue
-            if m == 0:
-                ax = ax + gmr2 * (-cnm * V[n + 1][1])
-                ay = ay + gmr2 * (-cnm * W[n + 1][1])
-            else:
-                fac = 0.5 * (n - m + 2) * (n - m + 1)
-                ax = ax + gmr2 * 0.5 * (-cnm * V[n + 1][m + 1] - snm * W[n + 1][m + 1]) \
-                    + gmr2 * fac * (cnm * V[n + 1][m - 1] + snm * W[n + 1][m - 1])
-                ay = ay + gmr2 * 0.5 * (-cnm * W[n + 1][m + 1] + snm * V[n + 1][m + 1]) \
-                    + gmr2 * fac * (-cnm * W[n + 1][m - 1] + snm * V[n + 1][m - 1])
-            az = az + gmr2 * (n - m + 1) * (-cnm * V[n + 1][m] - snm * W[n + 1][m])
-
-    return [
-        ct * ax - st * ay,
-        st * ax + ct * ay,
-        az,
-    ]
+    form = _form_for(cfg)
+    blocks = -(-np.size(pos[0]) // _BLOCK)
+    if blocks <= 1:
+        ax, ay, az = form(*pos)
+    else:
+        cols = (np.array_split(c, blocks) for c in pos)
+        ax, ay, az = np.concatenate([form(*b) for b in zip(*cols)], axis=-1)
+    if poly:
+        ax, ay, az = ax[0], ay[0], az[0]
+    return [ct * ax - st * ay, st * ax + ct * ay, az]
 
 
 # -- analytical Sun and Moon -------------------------------------------------------

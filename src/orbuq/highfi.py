@@ -33,10 +33,12 @@ def make_cartesian_rhs(cfg: ForceConfig, sc: SpacecraftParams):
     """State derivative (r, v) -> (v, a) of (N,) times and (N, 6) states.
 
     The states are floats, or an object array of polynomials in DA mode.  A
-    one-row call is evaluated on that row's scalars: the force model makes
-    about a hundred numpy calls, whose overhead on (1,) arrays costs several
-    times the arithmetic.  The integrator passes only the active rows, so
-    this also serves the last row of a larger batch.
+    one-row call is evaluated on that row's scalars: the third-body, drag
+    and SRP terms make about a hundred numpy calls, whose overhead on (1,)
+    arrays costs several times the arithmetic, and gravity keeps a float
+    row as scalars (and a polynomial row as one-element object columns).
+    The integrator passes only the active rows, so this also serves the last
+    row of a larger batch.
     """
 
     def rhs(t, y):

@@ -11,12 +11,14 @@ arrays and object arrays of polynomials:
 
 * ``integrate_batch`` - the adaptive loop: (N, d) float states advance with
   per-row time, step size and accept/reject decisions.  A row's arithmetic
-  depends on the other rows in two ways only: vectorised reductions may
-  round differently for another row count, and the right-hand side sees
-  just the rows still active, so a row that ends a batch alone is evaluated
-  as a one-row call (``highfi.make_cartesian_rhs`` takes that row's scalars,
-  whose math-library results need not match numpy's array loops to the last
-  bit).  Results are deterministic for a fixed partition into batches.
+  depends on the other rows in two ways only.  The error estimate's
+  ``tensordot``, a BLAS call, may round differently for another row count.
+  And the right-hand side sees just the rows still active, so a row that
+  ends a batch alone is evaluated as a one-row call on that row's scalars
+  (``highfi.make_cartesian_rhs``).  Gravity gives such a row the bits it
+  has in a batch of any width; a math-library call of the other force terms
+  (``math.pow`` in the drag bulge) need not match numpy's array loop to the
+  last bit.  Results are deterministic for a fixed partition into batches.
   ``integrate_single`` is the N = 1 call.
 
 * ``integrate_da`` - a one-row float shadow of the constant part runs the

@@ -1,12 +1,14 @@
 """Force models, integrator behavior and the two propagation formulations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from orbuq import forces
 from orbuq.elements import CARTESIAN, KEPLERIAN, MEE_L, convert_values
+from orbuq.generic import norm3, sqrt
 from orbuq.forces import (
     ForceConfig,
     SpacecraftParams,
@@ -124,6 +126,170 @@ class TestAcceleration:
         got = acceleration(t, r3, v3, cfg, SC)
         assert len(calls) == 1
         np.testing.assert_array_equal(np.array(got), np.array(ref))
+
+
+def _oracle_gravity(r3, cfg, t_s):
+    """The component-wise Cunningham recursion that the array form replaced."""
+    if cfg.degree == 0:
+        rmag = norm3(r3)
+        fac = -cfg.mu / (rmag * rmag * rmag)
+        return [fac * r3[0], fac * r3[1], fac * r3[2]]
+
+    theta = forces.gmst_angle(t_s)
+    ct, st = np.cos(theta), np.sin(theta)
+    xe = ct * r3[0] + st * r3[1]
+    ye = -st * r3[0] + ct * r3[1]
+    ze = r3[2]
+
+    fld = forces._field_for(cfg)
+    nmax = cfg.degree
+    re = cfg.re_km
+    r2 = xe * xe + ye * ye + ze * ze
+    rho = re * re / r2
+    x0 = re * xe / r2
+    y0 = re * ye / r2
+    z0 = re * ze / r2
+
+    nv = nmax + 1
+    V = [[None] * (nv + 1) for _ in range(nv + 1)]
+    W = [[None] * (nv + 1) for _ in range(nv + 1)]
+    V[0][0] = re / sqrt(r2)
+    W[0][0] = 0.0
+    for m in range(0, nv + 1):
+        if m > 0:
+            V[m][m] = (2 * m - 1) * (x0 * V[m - 1][m - 1] - y0 * W[m - 1][m - 1])
+            W[m][m] = (2 * m - 1) * (x0 * W[m - 1][m - 1] + y0 * V[m - 1][m - 1])
+        for n in range(m + 1, nv + 1):
+            vprev2 = V[n - 2][m] if n - 2 >= m else 0.0
+            wprev2 = W[n - 2][m] if n - 2 >= m else 0.0
+            V[n][m] = ((2 * n - 1) * z0 * V[n - 1][m] - (n + m - 1) * rho * vprev2) / (n - m)
+            W[n][m] = ((2 * n - 1) * z0 * W[n - 1][m] - (n + m - 1) * rho * wprev2) / (n - m)
+
+    gmr2 = cfg.mu / (re * re)
+    ax = 0.0
+    ay = 0.0
+    az = 0.0
+    C, S = fld.c, fld.s
+    for n in range(0, nmax + 1):
+        for m in range(0, n + 1):
+            cnm, snm = C[n, m], S[n, m]
+            if cnm == 0.0 and snm == 0.0:
+                continue
+            if m == 0:
+                ax = ax + gmr2 * (-cnm * V[n + 1][1])
+                ay = ay + gmr2 * (-cnm * W[n + 1][1])
+            else:
+                fac = 0.5 * (n - m + 2) * (n - m + 1)
+                ax = ax + gmr2 * 0.5 * (-cnm * V[n + 1][m + 1] - snm * W[n + 1][m + 1]) \
+                    + gmr2 * fac * (cnm * V[n + 1][m - 1] + snm * W[n + 1][m - 1])
+                ay = ay + gmr2 * 0.5 * (-cnm * W[n + 1][m + 1] + snm * V[n + 1][m + 1]) \
+                    + gmr2 * fac * (-cnm * W[n + 1][m - 1] + snm * V[n + 1][m - 1])
+            az = az + gmr2 * (n - m + 1) * (-cnm * V[n + 1][m] - snm * W[n + 1][m])
+
+    return [ct * ax - st * ay, st * ax + ct * ay, az]
+
+
+GRAVITY_CASES = {
+    "degree 0": ForceConfig(degree=0, order=0),
+    "degree 2 order 0": ForceConfig(degree=2, order=0),
+    "8x8": ForceConfig(),
+    "6x3 truncated": ForceConfig(degree=6, order=3),
+}
+
+
+def _positions(width, seed):
+    """Columns of positions between LEO and GEO radii, and their epochs."""
+    rng = np.random.default_rng(seed)
+    r = rng.normal(size=(3, width))
+    r *= rng.uniform(6600.0, 42500.0, width) / np.linalg.norm(r, axis=0)
+    return list(r), EPOCH_2021 + rng.uniform(0.0, 86400.0, width)
+
+
+def _assert_rows_close(got, ref, rtol=1e-14):
+    """Each row (column of the (3, N) arrays) within rtol of its largest component."""
+    got, ref = np.array(got, ndmin=2), np.array(ref, ndmin=2)
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(np.abs(got - ref) <= rtol * scale)
+
+
+class TestGravityRecursion:
+    """The array-form V/W table against the component-wise recursion."""
+
+    @pytest.mark.parametrize("name", list(GRAVITY_CASES))
+    def test_floats_match_oracle(self, name):
+        cfg = GRAVITY_CASES[name]
+        r3, t = _positions(20, 11)
+        for i in range(20):
+            row = [float(c[i]) for c in r3]
+            _assert_rows_close(forces.gravity_acceleration(row, cfg, float(t[i])),
+                               _oracle_gravity(row, cfg, float(t[i])))
+
+    @pytest.mark.parametrize("name", list(GRAVITY_CASES))
+    @pytest.mark.parametrize("width", [2, 3, 243, 4096])
+    def test_columns_match_oracle(self, name, width):
+        cfg = GRAVITY_CASES[name]
+        r3, t = _positions(width, width)
+        _assert_rows_close(forces.gravity_acceleration(r3, cfg, t),
+                           _oracle_gravity(r3, cfg, t))
+
+    @pytest.mark.parametrize("name", list(GRAVITY_CASES))
+    def test_polynomials_match_oracle(self, name):
+        # coefficient by coefficient, relative to the largest of the three
+        # components' coefficients of that monomial
+        cfg = GRAVITY_CASES[name]
+        ctx = AlgebraContext(2, 6)
+        r3, t = _positions(3, 5)
+        for i in range(3):
+            y0 = [c[i] for c in r3] + [0.1, 7.5, 0.2]
+            state = DAVector.affine(ctx, y0, np.diag([1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3]))
+            pos = list(state)[:3]
+            got = forces.gravity_acceleration(pos, cfg, float(t[i]))
+            ref = _oracle_gravity(pos, cfg, float(t[i]))
+            _assert_rows_close([p.c for p in got], [p.c for p in ref])
+
+    def test_row_bits_do_not_depend_on_batch_width(self):
+        for cfg in (ForceConfig(), ForceConfig(degree=6, order=3)):
+            r3, t = _positions(4096, 7)
+            whole = np.array(forces.gravity_acceleration(r3, cfg, t))
+            for width in (2, 3, 243, 1025):
+                part = np.array(forces.gravity_acceleration([c[:width] for c in r3], cfg,
+                                                            t[:width]))
+                np.testing.assert_array_equal(part, whole[:, :width])
+            for i in (0, 1, 1024, 4095):
+                alone = forces.gravity_acceleration([float(c[i]) for c in r3], cfg, float(t[i]))
+                np.testing.assert_array_equal(np.array(alone), whole[:, i])
+
+    def test_da_constant_part_equals_float_evaluation(self):
+        # the first three positions at EPOCH_2021 have an Earth-fixed r^2
+        # whose pow(r^2, 0.5), the constant part of TaylorPoly.sqrt, rounds
+        # differently from sqrt(r^2)
+        ctx = AlgebraContext(2, 6)
+        r3, t = _positions(20, 9)
+        cases = [([3962.434, 11321.566, 22639.885], EPOCH_2021),
+                 ([-14115.103, 20283.483, -16587.968], EPOCH_2021),
+                 ([383.967, 22345.402, 3495.422], EPOCH_2021)]
+        cases += [([c[i] for c in r3], float(t[i])) for i in range(20)]
+        for cfg in (ForceConfig(), ForceConfig(degree=2, order=0)):
+            for pos, epoch in cases:
+                y0 = list(pos) + [0.0, 0.0, 0.0]
+                state = DAVector.affine(ctx, y0, np.diag([1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3]))
+                got = forces.gravity_acceleration(list(state)[:3], cfg, epoch)
+                ref = forces.gravity_acceleration(pos, cfg, epoch)
+                assert [p.const for p in got] == [float(a) for a in ref]
+
+    def test_work_set_at_4096_rows_no_larger_than_oracle(self):
+        cfg = ForceConfig()
+        r3, t = _positions(4096, 3)
+        peaks = []
+        for fn in (_oracle_gravity, forces.gravity_acceleration):
+            fn(r3, cfg, t)
+            tracemalloc.start()
+            try:
+                fn(r3, cfg, t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 class TestThirdBodies:
