@@ -8,7 +8,6 @@ import pytest
 
 from orbuq import forces
 from orbuq.elements import CARTESIAN, KEPLERIAN, MEE_L, convert_values
-from orbuq.generic import norm3, sqrt
 from orbuq.forces import (
     ForceConfig,
     SpacecraftParams,
@@ -19,6 +18,7 @@ from orbuq.forces import (
     shadow_factor,
     sun_position,
 )
+from orbuq.generic import norm3, sqrt
 from orbuq.highfi import (
     gauss_equations_mee,
     make_cartesian_rhs,

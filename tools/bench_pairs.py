@@ -19,6 +19,7 @@ Standard library only; run it from the root of the repository.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -37,13 +38,10 @@ def export(ref: str, dest: Path) -> str:
     """Extract the committed tree of ``ref`` into ``dest``; return its short hash."""
     sha = subprocess.run(["git", "rev-parse", "--short", ref], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
-    archive = dest.with_suffix(".tar")
-    subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), ref], cwd=ROOT,
-                   check=True)
-    dest.mkdir()
-    with tarfile.open(archive) as tar:
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
-    archive.unlink()
     return sha
 
 
