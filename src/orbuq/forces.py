@@ -239,7 +239,7 @@ class _HarmonicForm:
         float or object columns; shape (3,) + the shape of ``xe``."""
         re = self.re
         r2 = xe * xe + ye * ye + ze * ze
-        rinv = 1.0 / _sqrt_keeping_constant(r2)
+        rinv = 1.0 / np.sqrt(r2)
         sr = re * (rinv * rinv)
         x0, y0, z0 = sr * xe, sr * ye, sr * ze
         rho = re * sr
@@ -262,20 +262,6 @@ class _HarmonicForm:
         # without ``optimize`` einsum sums the slots in index order, so a row's
         # bits do not depend on the batch width (BLAS would block the sum)
         return np.einsum("ji,j...->i...", self.coef, tab.reshape((-1,) + np.shape(xe)))
-
-
-def _sqrt_keeping_constant(x):
-    """Square root of float scalars or columns, or of an object column.
-
-    A polynomial's ``sqrt`` takes its constant part from ``pow(a, 0.5)``,
-    which rounds differently from ``sqrt(a)`` for about one value in 1,300.
-    Scaling by the constant part first keeps the constant part of the
-    polynomial result equal to the float result.
-    """
-    if np.result_type(x) != object:
-        return np.sqrt(x)
-    a = cons(x)
-    return np.sqrt(a) * np.sqrt(x / a)
 
 
 _FORM_CACHE: dict[tuple, _HarmonicForm] = {}

@@ -556,8 +556,10 @@ class TaylorPoly:
         a = self.const
         if branch(a <= 0.0):
             raise ValueError(f"sqrt requires positive constant part, got {a}")
-        coeffs, binom = [], 1.0
-        for k in range(self.ctx.order + 1):
+        # the constant part from sqrt, not pow(a, 0.5): the two round apart for
+        # about one value in 1,300, and sqrt matches a float evaluation
+        coeffs, binom = [each(math.sqrt, a)], 0.5
+        for k in range(1, self.ctx.order + 1):
             coeffs.append(binom * each(pow, a, 0.5 - k))
             binom *= (0.5 - k) / (k + 1)
         return self._series(coeffs)

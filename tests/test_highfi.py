@@ -261,8 +261,7 @@ class TestGravityRecursion:
 
     def test_da_constant_part_equals_float_evaluation(self):
         # the first three positions at EPOCH_2021 have an Earth-fixed r^2
-        # whose pow(r^2, 0.5), the constant part of TaylorPoly.sqrt, rounds
-        # differently from sqrt(r^2)
+        # whose pow(r^2, 0.5) rounds differently from sqrt(r^2)
         ctx = AlgebraContext(2, 6)
         r3, t = _positions(20, 9)
         cases = [([3962.434, 11321.566, 22639.885], EPOCH_2021),

@@ -112,6 +112,16 @@ class TestIntrinsics:
         assert math.isclose(got[(1,)], 0.5)
         assert math.isclose(got[(2,)], -0.125)
 
+    def test_sqrt_constant_part_is_float_sqrt(self):
+        # pow(a, 0.5) and sqrt(a) round apart for about one value in 1,300
+        ctx = AlgebraContext(2, 2)
+        x = ctx.variable(1)
+        values = np.random.default_rng(5).uniform(1e7, 1e9, 20_000)
+        apart = [float(a) for a in values if pow(float(a), 0.5) != math.sqrt(a)]
+        assert apart
+        for a in apart:
+            assert (a + x).sqrt().const == math.sqrt(a)
+
     def test_exp_first_partials_match_finite_differences(self):
         ctx = AlgebraContext(2, 2)
         x1, x2 = ctx.variable(1), ctx.variable(2)

@@ -1,12 +1,13 @@
 """Interleaved parent/change pairs of the repository benchmark, one sitting.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --child HEAD --out BENCH_10.json \
-        --workloads leo-split heo-eq leo-mc --pairs 10 --seed 41
+        --workloads leo-split heo-eq leo-mc
 
 Each ref is exported with ``git archive`` into its own temporary directory,
-so both sides run their committed files only.  For every workload and pair
-the command of ``BENCHMARK.json`` runs once on each side with the same seed
-(``--workload W --seed S --seconds T --trace 0``); the side that runs first
+so both sides run their committed files only.  For every workload, ten pairs
+(seeds 41 to 50) each run the command of ``BENCHMARK.json`` once on each side
+with the same seed (``--workload W --seed S --seconds T --trace 0``, T being
+the benchmark's ``run_seconds``); the side that runs first
 alternates from pair to pair, parent first in the first pair.  The output
 has ``BENCH_8.json``'s layout: per workload the pair count, the side that ran
 first in each pair, whether every run was correct, and per end-to-end metric
@@ -32,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+PAIRS = 10
+FIRST_SEED = 41
 
 
 def export(ref: str, dest: Path) -> str:
@@ -41,7 +44,12 @@ def export(ref: str, dest: Path) -> str:
     archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, check=True,
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        # extraction filters came with 3.10.12 / 3.11.4; the archive is the
+        # repository's own, so older releases extract it unfiltered
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
     return sha
 
 
@@ -95,18 +103,14 @@ def main(argv=None) -> int:
     ap.add_argument("--child", required=True, help="git ref of the change")
     ap.add_argument("--out", required=True, help="output file, e.g. BENCH_10.json")
     ap.add_argument("--workloads", nargs="+", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=41, help="seed of the first pair; +1 per pair")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="--seconds of each run (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--host", default=f"{platform.machine()}, {os.cpu_count()} CPUs",
                     help="host description written to the output")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = bench["command"]
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seconds = bench["run_seconds"]
+    seeds = [FIRST_SEED + i for i in range(PAIRS)]
     sides = ("parent", "child")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -131,12 +135,12 @@ def main(argv=None) -> int:
                 for side in order:
                     res = run_once(trees[side], command, workload, seed, seconds)
                     runs[side].append(res)
-                    print(f"[bench_pairs] {workload} pair {i + 1}/{args.pairs} {side}: "
+                    print(f"[bench_pairs] {workload} pair {i + 1}/{PAIRS} {side}: "
                           f"correct={res.get('correct')} failed={res.get('failed')}"
                           + (f" error={res['error']}" if "error" in res else ""),
                           file=sys.stderr, flush=True)
             entry = {
-                "pairs": args.pairs,
+                "pairs": PAIRS,
                 "first_side": first,
                 "all_correct": all(r.get("correct") is True and r.get("failed", 1) == 0
                                    for side in sides for r in runs[side]),
