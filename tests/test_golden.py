@@ -1,10 +1,12 @@
 """Golden-manifold regression: fast guard for changes to the split loop.
 
-Two reduced low-fidelity stages, one per theory and element set, whose
-kernel count, split histories and weights are pinned.  The pinned values
-were read off the program before the split loop evaluated domains in stacked
-batches; any change to them must be shown to follow from a change of the
-maps, not of the loop.  Both runs must also evaluate every stack of domains
+Three reduced low-fidelity stages, one per theory and element set plus one
+that starts from several conversion roots, whose kernel count, split
+histories and weights are pinned.  The single-root values were read off the
+program before the split loop evaluated domains in stacked batches, the
+multi-root values before one loop ran the generations of all roots together;
+any change to them must be shown to follow from a change of the maps, not of
+the loop.  Every run must also evaluate every stack of domains
 in one call, with no member-by-member fallback.
 """
 
@@ -28,6 +30,10 @@ GOLDEN = {
     "heo-j2-equinoctial": ("heo", ["elements.set=equinoctial", "elements.fast_var=L",
                                    "periods=2.0", "loads.eps_nu=0.015"],
                            207, "0e7e4b35275e47b8", 13683.4030233477),
+    # SGP4, equinoctial/L: 9 conversion roots, each split once into 3 leaves
+    "leo-sgp4-equinoctial": ("leo", ["elements.set=equinoctial", "elements.fast_var=L",
+                                     "periods=1.0", "loads.eps_nu=0.01"],
+                             27, "a9748b5ae26dcd23", 236.99089105269138),
 }
 
 
