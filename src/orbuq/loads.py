@@ -4,23 +4,20 @@ A domain couples a polynomial state (the uncertainty set, always an affine
 function of the box variables on input) with its Gaussian kernel and the
 spectral factorization of the kernel covariance.  The engine evaluates the
 target map on each queued domain, measures nonlinearity from the Taylor
-expansion of the map Jacobian, and when the index exceeds the threshold
+expansion of the map Jacobian, re-normalized by the current kernel's
+one-sigma-times-CI amplitudes, and when the index exceeds the threshold
 replaces the domain by library-split children along the worst direction.
 
-Two index flavors are provided: the raw DA Jacobian (derivatives with respect
-to the box variables, natural for a standalone split loop) and the scaled
-Jacobian (physical derivatives re-normalized by the current kernel's
-one-sigma-times-CI amplitudes, used when the split loop tracks a Gaussian
-mixture).
-
-The loop runs one generation at a time: the domains of a generation go to the
-target in stacks of up to ``_WIDTH`` (one ``DAVector`` of stacked polynomials
-per call, see :mod:`orbuq.ta`), and the images come back in the same order.
-A stacked call that raises, for instance because its members disagree at a
-branch, is redone member by member, which reproduces the lone images and
-errors.  Domains are processed in generation order and children are appended
-in library order, which is the breadth-first order of a FIFO queue; weights
-are conserved exactly, so manifold ordering is reproducible.
+One loop runs every root domain, one generation at a time: the domains of a
+generation, whatever their root, go to the target in stacks of up to
+``_WIDTH`` (one ``DAVector`` of stacked polynomials per call, see
+:mod:`orbuq.ta`), and the images come back in the same order.  A stacked call
+that raises, for instance because its members disagree at a branch, is redone
+member by member, which reproduces the lone images and errors.  Domains are
+processed in generation order and children are appended in library order,
+which is each root's breadth-first order; the leaves are returned grouped by
+root in root order, and weights are conserved exactly, so manifold ordering
+is reproducible.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from .ta import AlgebraContext, DAVector, TaylorPoly
 __all__ = [
     "Domain", "Manifold", "SplitStats", "LoadsConfig", "initial_domain", "map_stacked",
     "raw_jacobian", "scaled_jacobian", "nli", "directional_nli",
-    "split_direction", "split_domain", "loads", "loads_gmm",
+    "split_direction", "split_domain", "loads_gmm",
 ]
 
 
@@ -75,17 +72,6 @@ class SplitStats:
     domains_per_generation: list[int] = field(default_factory=list)
     target_evals: int = 0
     batch_fallbacks: int = 0
-
-    def add(self, other: "SplitStats"):
-        """Fold another run's counts into this one, generation by generation."""
-        gens = self.domains_per_generation
-        for g, n in enumerate(other.domains_per_generation):
-            if g < len(gens):
-                gens[g] += n
-            else:
-                gens.append(n)
-        self.target_evals += other.target_evals
-        self.batch_fallbacks += other.batch_fallbacks
 
 
 @dataclass
@@ -334,16 +320,25 @@ def map_stacked(f: Callable[[DAVector], DAVector], states: Sequence[DAVector],
             yield f(state)
 
 
-def _split_engine(f: Callable[[DAVector], DAVector], x0: Domain, cfg: LoadsConfig,
-                  scaled: bool, honor_alpha: bool) -> tuple[Manifold, Manifold]:
-    stats = SplitStats()
-    inputs: list[Domain] = []
-    images: list[Domain] = []
+def loads_gmm(f: Callable[[DAVector], DAVector], roots: Sequence[Domain],
+              cfg: LoadsConfig) -> tuple[Manifold, Manifold]:
+    """Split every root until each subdomain's scaled-Jacobian index clears the threshold.
 
-    def emit(din: Domain, y: DAVector, nu: float | None):
+    Returns index-aligned input and image manifolds whose leaves are grouped
+    by root in root order, each root's in its breadth-first order.  Domains
+    lighter than ``alpha_min`` are emitted as-is without evaluating their
+    index; emitted weights always sum to the roots' weights.  A failure of
+    the target, the index or the split direction is re-raised as a
+    ``RuntimeError`` naming the root and the split history of the domain.
+    """
+    stats = SplitStats()
+    inputs: list[list[Domain]] = [[] for _ in roots]
+    images: list[list[Domain]] = [[] for _ in roots]
+
+    def emit(r: int, din: Domain, y: DAVector, nu: float | None):
         din.nli = nu
-        inputs.append(din)
-        images.append(
+        inputs[r].append(din)
+        images[r].append(
             Domain(
                 state=y,
                 kernel=din.kernel,
@@ -355,39 +350,28 @@ def _split_engine(f: Callable[[DAVector], DAVector], x0: Domain, cfg: LoadsConfi
             )
         )
 
-    generation = [x0]
+    generation = list(enumerate(roots))
     while generation:
         stats.domains_per_generation.append(len(generation))
-        children: list[Domain] = []
-        for d, y in zip(generation, map_stacked(f, [g.state for g in generation], stats)):
-            if honor_alpha and d.weight < cfg.alpha_min:
-                emit(d, y, None)
-                continue
-            jac = scaled_jacobian(y, d.eigvals, cfg.ci) if scaled else raw_jacobian(y)
-            nu = nli(jac)
-            if nu < cfg.eps_nu or d.nsplits >= cfg.n_max:
-                emit(d, y, nu)
-            else:
+        children: list[tuple[int, Domain]] = []
+        ys = map_stacked(f, [d.state for _, d in generation], stats)
+        for r, d in generation:
+            try:
+                y = next(ys)
+                if d.weight < cfg.alpha_min:
+                    emit(r, d, y, None)
+                    continue
+                jac = scaled_jacobian(y, d.eigvals, cfg.ci)
+                nu = nli(jac)
+                if nu < cfg.eps_nu or d.nsplits >= cfg.n_max:
+                    emit(r, d, y, nu)
+                    continue
                 k = split_direction(jac)
-                children.extend(split_domain(d, k, cfg.library, cfg.ci))
+            except (ArithmeticError, ValueError, RuntimeError) as exc:
+                raise RuntimeError(
+                    f"split loop failed on root {r}, split history {d.history}: {exc}"
+                ) from exc
+            children.extend((r, c) for c in split_domain(d, k, cfg.library, cfg.ci))
         generation = children
-    return Manifold(inputs, stats), Manifold(images, stats)
-
-
-def loads(f: Callable[[DAVector], DAVector], x0: Domain, cfg: LoadsConfig
-          ) -> tuple[Manifold, Manifold]:
-    """Split until the raw-Jacobian index of every subdomain clears the threshold.
-
-    Returns index-aligned input and image manifolds.
-    """
-    return _split_engine(f, x0, cfg, scaled=False, honor_alpha=False)
-
-
-def loads_gmm(f: Callable[[DAVector], DAVector], x0: Domain, cfg: LoadsConfig
-              ) -> tuple[Manifold, Manifold]:
-    """Mixture-tracking split loop with the scaled Jacobian and a weight floor.
-
-    Domains lighter than ``alpha_min`` are emitted as-is without evaluating
-    their index; emitted weights always sum to the root weight.
-    """
-    return _split_engine(f, x0, cfg, scaled=True, honor_alpha=True)
+    return (Manifold([d for leaves in inputs for d in leaves], stats),
+            Manifold([d for leaves in images for d in leaves], stats))

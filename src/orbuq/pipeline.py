@@ -11,9 +11,10 @@ The flow for one scenario:
    for the propagation stage.  The transformed kernels double as the initial
    mixture that Monte-Carlo sampling and map evaluation use.
 3. Run the mixture-tracking split loop with the low-fidelity theory map over
-   the propagation span, giving per-kernel second-order Taylor maps.  The
-   loop evaluates the map on stacks of domains (see ``orbuq.loads``); its
-   first image, the dominant root's, is the one that gives ``nu_single``.
+   the propagation span, giving per-kernel second-order Taylor maps.  One
+   loop runs all roots, evaluating the map on stacks of domains (see
+   ``orbuq.loads``); the dominant root's image, evaluated first and alone,
+   gives ``nu_single``.
 4. Propagate every kernel mean pointwise through the high-fidelity force
    model (fixed-size chunks, optional threads) and replace each map's
    constant part - directly in osculating element space, or through the
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -88,6 +89,7 @@ __all__ = [
 ]
 
 _DEG = math.pi / 180.0
+_FAST = 5  # position of the fast angle in a non-cartesian element set
 _CHUNK = 4096  # fixed batch partition: results never depend on thread count
 _BLOCK_ENTRIES = 2**16  # cap on the entries of each mf_sample_eval work array
 # Rounding bound of a stacked score, in units of eps * (|F| @ H.T) (see
@@ -204,9 +206,6 @@ class MfResult:
     @property
     def weights(self) -> np.ndarray:
         return np.array([d.weight for d in self.inputs])
-
-    def fast_angle_index(self) -> int | None:
-        return 5 if self.element_set.fast is not None else None
 
     @cached_property
     def stacked(self) -> "StackedKernels":
@@ -356,6 +355,13 @@ def _mixture_from_maps(inputs: Manifold, maps: Sequence[DAVector], ci: float,
     return GaussianMixture(tuple(kernels)), fallback
 
 
+def _rebranch_fast_angle(mapped: DAVector, ref: float) -> DAVector:
+    """The map with its fast angle moved by whole turns to the branch nearest ``ref``."""
+    comps = list(mapped)
+    comps[_FAST] = rebranch_near(comps[_FAST], ref)
+    return DAVector(comps)
+
+
 def _replace_constant(mapped: DAVector, new_const: np.ndarray) -> DAVector:
     comps = []
     for p, c in zip(mapped, new_const):
@@ -405,7 +411,7 @@ def _conversion_stage(scenario: Scenario, root: Domain, lib: SplitLibrary):
         eps_nu=scenario.conversion_eps_nu, library=lib,
         n_max=scenario.n_max, alpha_min=scenario.alpha_min, ci=scenario.ci,
     )
-    m_in, m_out = loads_gmm(conv_map, root, cfg)
+    m_in, m_out = loads_gmm(conv_map, [root], cfg)
     kappa = scenario.ut_kappa if scenario.ut_kappa is not None else 3.0 - 6.0
     roots = []
     kernels = []
@@ -420,8 +426,8 @@ def _conversion_stage(scenario: Scenario, root: Domain, lib: SplitLibrary):
 class LfStage:
     """Output of the low-fidelity half of the pipeline (no HF correction).
 
-    ``stats`` counts the low-fidelity split loop, summed over the roots, plus
-    the stacked calls the conversion stage redid member by member.
+    ``stats`` counts the low-fidelity split loop over all roots, plus the
+    stacked calls the conversion stage redid member by member.
     """
 
     inputs: Manifold
@@ -449,12 +455,12 @@ def lf_stage(scenario: Scenario) -> LfStage:
     mu0, p0 = scenario.initial_cartesian()
     root_cart = initial_domain(mu0, p0, scenario.ci)
 
-    stats = SplitStats()
+    conversion_fallbacks = 0
     if eset.kind == ElemKind.CARTESIAN:
         roots = [root_cart]
         initial_mixture = GaussianMixture((GaussianKernel(1.0, mu0, p0),))
     else:
-        roots, initial_mixture, stats.batch_fallbacks = _conversion_stage(
+        roots, initial_mixture, conversion_fallbacks = _conversion_stage(
             scenario, root_cart, lib)
 
     target = lf_target(theory, t0_s, t1_s, eset, mu)
@@ -468,7 +474,8 @@ def lf_stage(scenario: Scenario) -> LfStage:
     nu_single = nli(scaled_jacobian(y_lead, roots[lead].eigvals, scenario.ci))
 
     def split_target(state):
-        # the split loop starts from the lead root, whose image is known
+        # the lead root's image is known, so a lone root is not evaluated
+        # again; several roots go to the target as one stack, the lead too
         return y_lead if state is lead_state else target(state)
 
     cfg = LoadsConfig(
@@ -476,32 +483,18 @@ def lf_stage(scenario: Scenario) -> LfStage:
         alpha_min=scenario.alpha_min, ci=scenario.ci,
     )
     tic = time.perf_counter()
-    all_inputs: list[Domain] = []
-    all_maps: list[DAVector] = []
-    for root in roots:
-        m_in, m_out = loads_gmm(split_target, root, cfg)
-        all_inputs.extend(m_in.domains)
-        all_maps.extend(d.state for d in m_out)
-        stats.add(m_in.stats)
+    inputs, images = loads_gmm(split_target, roots, cfg)
     timings["t_loads_s"] = time.perf_counter() - tic
+    inputs.stats.batch_fallbacks += conversion_fallbacks
 
-    # keep every kernel's fast angle on the branch of the nominal image
-    angle_idx = 5 if eset.fast is not None else None
-    if angle_idx is not None:
-        ref_angle = y_lead[angle_idx].const
-        all_maps = [
-            DAVector(
-                list(m)[:angle_idx]
-                + [rebranch_near(m[angle_idx], ref_angle)]
-                + list(m)[angle_idx + 1:]
-            )
-            for m in all_maps
-        ]
+    maps = [d.state for d in images]
+    if eset.fast is not None:
+        # keep every kernel's fast angle on the branch of the nominal image
+        maps = [_rebranch_fast_angle(m, y_lead[_FAST].const) for m in maps]
 
-    inputs = Manifold(all_inputs, stats)
     if abs(inputs.total_weight() - 1.0) > 1e-12:
         raise RuntimeError(f"split weights drifted: {inputs.total_weight()}")
-    return LfStage(inputs, all_maps, initial_mixture, nu_single, timings, stats)
+    return LfStage(inputs, maps, initial_mixture, nu_single, timings, inputs.stats)
 
 
 def mf_propagate(scenario: Scenario, threads: int = 1,
@@ -523,7 +516,6 @@ def mf_propagate(scenario: Scenario, threads: int = 1,
     all_maps = stage.maps
     initial_mixture = stage.initial_mixture
     nu_single = stage.nu_single
-    angle_idx = 5 if eset.fast is not None else None
 
     # pointwise high-fidelity correction of every kernel mean
     tic = time.perf_counter()
@@ -533,15 +525,14 @@ def mf_propagate(scenario: Scenario, threads: int = 1,
         scenario.spacecraft, threads=threads,
     )
     angle_refs = None
-    if angle_idx is not None:
-        angle_refs = np.array([mp[angle_idx].const for mp in all_maps])
+    if eset.fast is not None:
+        angle_refs = np.array([mp[_FAST].const for mp in all_maps])
     mu_hf_set = _rows_from_cartesian(prop_cart, eset, mu, angle_refs)
     timings["t_hf_correction_s"] = time.perf_counter() - tic
 
     # constant-part substitution per the configured shift mode
     tic = time.perf_counter()
-    stats = SplitStats()
-    stats.add(stage.stats)
+    stats = replace(stage.stats)
     if scenario.shift_mode == "osculating":
         maps_mf = [_replace_constant(mp, mh) for mp, mh in zip(all_maps, mu_hf_set)]
     else:
@@ -556,12 +547,8 @@ def mf_propagate(scenario: Scenario, threads: int = 1,
         shift_stats = SplitStats()
         maps_mf = []
         for mp, shifted in zip(all_maps, map_stacked(shift, packed, shift_stats)):
-            if angle_idx is not None:
-                shifted = DAVector(
-                    list(shifted)[:angle_idx]
-                    + [rebranch_near(shifted[angle_idx], mp[angle_idx].const)]
-                    + list(shifted)[angle_idx + 1:]
-                )
+            if eset.fast is not None:
+                shifted = _rebranch_fast_angle(shifted, mp[_FAST].const)
             maps_mf.append(shifted)
         stats.batch_fallbacks += shift_stats.batch_fallbacks
     timings["t_shift_s"] = time.perf_counter() - tic

@@ -296,7 +296,7 @@ def test_criterion_05_loads_structure():
     for eps in (0.06, 0.1, 0.15, 0.25, 0.5):
         dom = initial_domain(np.zeros(2), np.diag([0.0025, 0.0025]), ci=3.0)
         cfg = LoadsConfig(eps_nu=eps, library=lib, n_max=8, alpha_min=1e-6)
-        m_in, _ = loads_gmm(f, dom, cfg)
+        m_in, _ = loads_gmm(f, [dom], cfg)
         counts.append(len(m_in))
         if abs(m_in.total_weight() - 1.0) > 1e-12:
             weight_ok = False

@@ -2,10 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from orbuq import pipeline
 from orbuq.cli import main
 from orbuq.config import apply_overrides, config_hash, load_scenario, scenario_to_dict
 from orbuq.gmm import GaussianKernel, GaussianMixture
@@ -103,6 +105,30 @@ class TestRun:
         mu0, _ = scenario.initial_cartesian()
         got = np.array(mix["kernels"][0]["mean"])
         assert np.abs(got - mu0).max() < 1e-9
+
+    def test_split_loop_failure_exit_3(self, tiny_config, tmp_path, capsys, monkeypatch):
+        # the target fails after the lone call for nu_single, that is on the
+        # root's children: exit code 3, and the message names the first child
+        real = pipeline.lf_target
+
+        def failing_target(*args, **kwargs):
+            f = real(*args, **kwargs)
+            calls = []
+
+            def g(state):
+                calls.append(1)
+                if len(calls) > 1:
+                    raise RuntimeError("satellite has decayed")
+                return f(state)
+            return g
+
+        monkeypatch.setattr(pipeline, "lf_target", failing_target)
+        code = main(["run", str(tiny_config), "--outdir", str(tmp_path / "out4"),
+                     "--set", "loads.eps_nu=1e-6", "--set", "loads.n_max=1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "satellite has decayed" in err
+        assert re.search(r"root 0, split history \[\(\d, 0\)\]", err)
 
     def test_missing_config_exit_2(self, capsys):
         assert main(["run", "no-such-config"]) == 2

@@ -315,7 +315,7 @@ class TestConvertDaWithLoads:
         cov = np.diag([1.0, 1.0, 0.0, 1e-6, 1e-6, 0.0])
         dom = initial_domain(rv, cov, ci=3.0)
         cfg = LoadsConfig(eps_nu=0.01, library=lib3, alpha_min=1e-8)
-        m_in, m_out = loads_gmm(lambda s: DAVector(list(s)), dom, cfg)
+        m_in, m_out = loads_gmm(lambda s: DAVector(list(s)), [dom], cfg)
         assert len(m_in) == 1 and m_in[0].nli == pytest.approx(0.0, abs=1e-14)
 
     def test_heo_cartesian_to_equinoctial_single_kernel(self, lib3):
@@ -331,7 +331,7 @@ class TestConvertDaWithLoads:
             out, _ = convert_values(list(state), CARTESIAN, EQUINOCTIAL_LAM, MU)
             return DAVector(out)
 
-        m_in, m_out = loads_gmm(conv_map, dom, cfg)
+        m_in, m_out = loads_gmm(conv_map, [dom], cfg)
         assert len(m_in) == 1
 
     def test_inflated_sigmas_trigger_split(self, lib3):
@@ -347,5 +347,5 @@ class TestConvertDaWithLoads:
             out, _ = convert_values(list(state), CARTESIAN, EQUINOCTIAL_LAM, MU)
             return DAVector(out)
 
-        m_in, _ = loads_gmm(conv_map, dom, cfg)
+        m_in, _ = loads_gmm(conv_map, [dom], cfg)
         assert len(m_in) > 1

@@ -12,7 +12,6 @@ from orbuq.loads import (
     SplitStats,
     directional_nli,
     initial_domain,
-    loads,
     loads_gmm,
     map_stacked,
     nli,
@@ -305,7 +304,7 @@ class TestLoads:
     def test_linear_map_single_domain(self, lib3):
         cfg = LoadsConfig(eps_nu=0.01, library=lib3)
         d = initial_domain(np.zeros(2), np.eye(2), ci=3.0)
-        m_in, m_out = loads(lambda s: DAVector([s[0] + s[1], s[1] - s[0]]), d, cfg)
+        m_in, m_out = loads_gmm(lambda s: DAVector([s[0] + s[1], s[1] - s[0]]), [d], cfg)
         assert len(m_in) == 1 and len(m_out) == 1
         assert m_in[0].nsplits == 0
 
@@ -313,7 +312,8 @@ class TestLoads:
         # For y = x + x^2/2 on [x] = beta dx the raw index is exactly beta and
         # each child's index is ~ beta*sigma/(1 + center shift).  beta =
         # 1.4*eps therefore forces exactly one generation with the Table-1
-        # library (any multiplier in (1, 1/sigma) does).
+        # library (any multiplier in (1, 1/sigma) does).  With one variable
+        # the scaled index equals the raw one: the column scale cancels.
         eps = 0.01
         ci = 3.0
         beta = 1.4 * eps
@@ -322,7 +322,7 @@ class TestLoads:
         d = initial_domain([0.0], np.array([[sigma0**2]]), ci=ci)
         jac = raw_jacobian(quadratic_scalar_map(d.state))
         assert nli(jac) == pytest.approx(beta, rel=1e-12)
-        m_in, m_out = loads(quadratic_scalar_map, d, cfg)
+        m_in, m_out = loads_gmm(quadratic_scalar_map, [d], cfg)
         assert len(m_in) == 3
         for dom in m_in:
             assert dom.nsplits == 1
@@ -331,7 +331,7 @@ class TestLoads:
     def test_nmax_zero_returns_root(self, lib3):
         cfg = LoadsConfig(eps_nu=1e-9, library=lib3, n_max=0)
         d = initial_domain([0.0], np.array([[1.0]]), ci=3.0)
-        m_in, _ = loads(quadratic_scalar_map, d, cfg)
+        m_in, _ = loads_gmm(quadratic_scalar_map, [d], cfg)
         assert len(m_in) == 1 and m_in[0].nsplits == 0
 
 
@@ -383,7 +383,7 @@ class TestLoadsGmm:
     def test_linear_map_one_component(self, lib3):
         cfg = LoadsConfig(eps_nu=0.01, library=lib3, alpha_min=1e-8)
         d = initial_domain(np.zeros(3), np.diag([1.0, 2.0, 3.0]), ci=3.0)
-        m_in, _ = loads_gmm(lambda s: DAVector(list(s)), d, cfg)
+        m_in, _ = loads_gmm(lambda s: DAVector(list(s)), [d], cfg)
         assert len(m_in) == 1
         assert m_in[0].weight == 1.0
 
@@ -392,7 +392,7 @@ class TestLoadsGmm:
         beta = 1.4 * eps
         cfg = LoadsConfig(eps_nu=eps, library=lib3, alpha_min=1.0, ci=3.0)
         d = initial_domain([0.0], np.array([[(beta / 3.0) ** 2]]), ci=3.0)
-        m_in, _ = loads_gmm(quadratic_scalar_map, d, cfg)
+        m_in, _ = loads_gmm(quadratic_scalar_map, [d], cfg)
         # root (weight 1) is evaluated and split; children all fall below
         # alpha_min and are emitted unsplit without index evaluation
         assert len(m_in) == 3
@@ -403,7 +403,7 @@ class TestLoadsGmm:
         beta = 1.8 * eps
         cfg = LoadsConfig(eps_nu=eps, library=lib3, alpha_min=1e-12, ci=3.0)
         d = initial_domain([0.0], np.array([[(beta / 3.0) ** 2]]), ci=3.0)
-        m_in, m_out = loads_gmm(quadratic_scalar_map, d, cfg)
+        m_in, m_out = loads_gmm(quadratic_scalar_map, [d], cfg)
         assert len(m_in) == 9
         weights = sorted(dom.weight for dom in m_in)
         expected = sorted(
@@ -425,7 +425,7 @@ class TestLoadsGmm:
             cov = np.diag(rng.uniform(0.02, 0.08, 2) ** 2)
             d = initial_domain(rng.uniform(-0.1, 0.1, 2), cov, ci=3.0)
             cfg = LoadsConfig(eps_nu=rng.uniform(0.05, 0.5), library=lib3, alpha_min=1e-6)
-            m_in, m_out = loads_gmm(f, d, cfg)
+            m_in, m_out = loads_gmm(f, [d], cfg)
             assert m_in.total_weight() == pytest.approx(1.0, abs=1e-12)
             assert len(m_in) == len(m_out)
 
@@ -438,7 +438,7 @@ class TestLoadsGmm:
         for eps in [0.06, 0.1, 0.15, 0.25, 0.5]:
             d = initial_domain(np.zeros(2), np.diag([0.0025, 0.0025]), ci=3.0)
             cfg = LoadsConfig(eps_nu=eps, library=lib3, alpha_min=1e-10)
-            m_in, _ = loads_gmm(f, d, cfg)
+            m_in, _ = loads_gmm(f, [d], cfg)
             counts.append(len(m_in))
         assert counts == sorted(counts, reverse=True)
         assert counts[0] > counts[-1]  # the grid actually exercises splitting
@@ -451,7 +451,7 @@ class TestLoadsGmm:
         eps = 0.05
         cfg = LoadsConfig(eps_nu=eps, library=lib3, n_max=3, alpha_min=1e-3)
         d = initial_domain(np.zeros(2), np.diag([0.09, 0.09]), ci=3.0)
-        m_in, _ = loads_gmm(f, d, cfg)
+        m_in, _ = loads_gmm(f, [d], cfg)
         for dom in m_in:
             ok = (
                 (dom.nli is not None and dom.nli < eps)
@@ -467,17 +467,68 @@ class TestLoadsGmm:
 
         d = initial_domain(np.zeros(2), np.diag([0.04, 0.0]), ci=3.0)
         cfg = LoadsConfig(eps_nu=0.05, library=lib3, alpha_min=1e-6, n_max=6)
-        m_in, _ = loads_gmm(f, d, cfg)
+        m_in, _ = loads_gmm(f, [d], cfg)
         degenerate_axis = int(np.argmin(d.eigvals))
         for dom in m_in:
             for k, _i in dom.history:
                 assert k - 1 != degenerate_axis
 
 
+class TestSeveralRoots:
+    @staticmethod
+    def roots():
+        # index beta / (1 + c) of 0.005, 0.018 and 0.014: for eps = 0.01 the
+        # roots stop at depths 0, 2 and 1
+        return [initial_domain([c], np.array([[(beta / 3.0) ** 2]]), ci=3.0, weight=w)
+                for c, beta, w in [(0.0, 0.005, 0.5), (1.0, 0.036, 0.3), (2.0, 0.042, 0.2)]]
+
+    def test_one_loop_matches_lone_runs(self, lib3):
+        # leaves grouped by root in root order, each root's in its own
+        # breadth-first order, with the images of the lone runs
+        cfg = LoadsConfig(eps_nu=0.01, library=lib3, alpha_min=1e-12)
+        widths = []
+
+        def f(state):
+            widths.append(state[0].c.shape[1:] or (1,))
+            return quadratic_scalar_map(state)
+
+        m_in, m_out = loads_gmm(f, self.roots(), cfg)
+        assert widths == [(3,), (6,), (9,)]
+        assert m_in.stats.domains_per_generation == [3, 6, 9]
+        assert m_in.stats.target_evals == 18
+        lone = [loads_gmm(quadratic_scalar_map, [r], cfg) for r in self.roots()]
+        assert [len(a) for a, _ in lone] == [1, 9, 3]
+        lone_in = [d for a, _ in lone for d in a]
+        lone_out = [d for _, b in lone for d in b]
+        assert len(m_in) == len(lone_in) == len(m_out)
+        for got, ref in zip(m_in, lone_in):
+            assert got.history == ref.history and got.weight == ref.weight
+            assert got.nli == ref.nli
+        for got, ref in zip(m_out, lone_out):
+            np.testing.assert_array_equal(got.state[0].c, ref.state[0].c)
+        assert m_in.total_weight() == pytest.approx(1.0, abs=1e-15)
+
+    def test_failure_names_root_and_history(self, lib3):
+        # the target fails on the middle child of root 1 (centred on 1.0,
+        # narrower than the root): the error names that domain and chains
+        # the original one
+        cfg = LoadsConfig(eps_nu=0.01, library=lib3, alpha_min=1e-12)
+
+        def f(state):
+            c = state[0].c
+            if np.any((c[0] == 1.0) & (c[1] < 0.03)):
+                raise ValueError("no image")
+            return quadratic_scalar_map(state)
+
+        with pytest.raises(RuntimeError, match=r"root 1, split history \[\(1, 1\)\]") as exc:
+            loads_gmm(f, self.roots(), cfg)
+        assert isinstance(exc.value.__cause__, ValueError)
+
+
 def test_manifold_json_roundtrip(tmp_path, lib3):
     d = initial_domain(np.zeros(2), 0.01 * np.eye(2), ci=3.0)
     cfg = LoadsConfig(eps_nu=0.05, library=lib3)
-    m_in, _ = loads_gmm(quadratic_scalar_map_2d, d, cfg)
+    m_in, _ = loads_gmm(quadratic_scalar_map_2d, [d], cfg)
     path = tmp_path / "manifold.json"
     m_in.save(path)
     import json

@@ -178,6 +178,28 @@ class TestMfPropagate:
         assert [n for (n,) in calls] == [1, 3, 9]
         assert stats.batch_fallbacks == 0
 
+    def test_roots_share_one_split_loop(self, monkeypatch):
+        # LEO in equinoctial/L converts into 9 roots that each split once:
+        # after the lone call for nu_single, one stack per generation
+        calls = []
+        real = pipeline.lf_target
+
+        def counting_target(*args, **kwargs):
+            f = real(*args, **kwargs)
+
+            def g(state):
+                calls.append(state[0].c.shape[1:] or (1,))
+                return f(state)
+            return g
+
+        monkeypatch.setattr(pipeline, "lf_target", counting_target)
+        leo, _ = load_scenario("leo", ["elements.set=equinoctial", "elements.fast_var=L",
+                                       "periods=1.0", "loads.eps_nu=0.01"])
+        stage = lf_stage(leo)
+        assert [n for (n,) in calls] == [1, 9, 27]
+        assert stage.stats.domains_per_generation == [9, 27]
+        assert stage.stats.target_evals == 36 and stage.stats.batch_fallbacks == 0
+
     def test_one_propagation_per_chunk(self, monkeypatch):
         # the kernel means are corrected in _CHUNK-row batches and nothing
         # else is propagated
