@@ -59,7 +59,6 @@ def scenario_from_dict(obj: dict) -> Scenario:
         gravity_path=_get(obj, "hf.gravity_path"),
     )
     integrator = IntegratorConfig(
-        tableau=_get(obj, "hf.tableau", "dp8"),
         abs_tol=_get(obj, "hf.abs_tol", 1e-12),
         rel_tol=_get(obj, "hf.rel_tol", 1e-12),
     )
@@ -128,7 +127,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "srp": s.force.srp,
             "drag_bulge_exponent": s.force.drag_bulge_exponent,
             "gravity_path": s.force.gravity_path,
-            "tableau": s.integrator.tableau,
             "abs_tol": s.integrator.abs_tol,
             "rel_tol": s.integrator.rel_tol,
         },

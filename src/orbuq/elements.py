@@ -26,12 +26,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .generic import atan2, branch, cons, cos, cross3, dot3, each, is_poly, norm3, sin, sqrt
-from .ta import DAVector, TaylorPoly
 
 __all__ = [
     "ElemKind", "FastVar", "ElementSet", "OrbitState", "FrameModel",
@@ -111,11 +109,6 @@ class OrbitState:
 
     def constant_values(self) -> np.ndarray:
         return np.array([cons(v) for v in self.values], dtype=np.float64)
-
-    def as_davector(self) -> DAVector:
-        if not all(is_poly(v) for v in self.values):
-            raise TypeError("state values are not polynomials")
-        return DAVector(self.values)
 
     def to_json_obj(self) -> dict:
         vals = self.constant_values()

@@ -1,8 +1,8 @@
 """Embedded adaptive Runge-Kutta integration for float batches and DA states.
 
-The default pair is the 13-stage Dormand-Prince 8(5,3) scheme with its
-combined fifth/third-order error estimate; the classic 5(4) pair is available
-as a fallback.  Tableau constants are the published Hairer coefficients.
+The scheme is the 13-stage Dormand-Prince 8(5,3) pair with its combined
+fifth/third-order error estimate.  Tableau constants are the published Hairer
+coefficients.
 
 One stepping core serves every mode.  ``_step`` takes one explicit step of an
 (N, d) state array with one step size per row, and every stage is
@@ -109,39 +109,8 @@ class _Dp8:
         return h_abs * e5sq / np.sqrt(denom * ncomp)
 
 
-class _Dp5:
-    """Classic Dormand-Prince 5(4): 6 propagating stages + the new-point stage."""
-
-    n_stages = 6
-    error_exponent = -1.0 / 5.0
-
-    c = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-    a_rows = [
-        [],
-        [1 / 5],
-        [3 / 40, 9 / 40],
-        [44 / 45, -56 / 15, 32 / 9],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    ]
-    b = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-    e = np.array([
-        71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
-    ])
-
-    @classmethod
-    def error_norm(cls, big_k, h_abs, scale):
-        err = np.tensordot(cls.e, big_k, axes=(0, 0)) / scale
-        ncomp = big_k.shape[-1]
-        return h_abs * np.sqrt(np.sum(err * err, axis=-1) / ncomp)
-
-
-_TABLEAUS = {"dp8": _Dp8, "dp5": _Dp5}
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
-    tableau: str = "dp8"
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     min_step: float = 1e-8     # s
@@ -150,17 +119,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.tableau not in _TABLEAUS:
-            raise ValueError(f"unknown tableau {self.tableau!r}")
-
-    @property
-    def scheme(self):
-        return _TABLEAUS[self.tableau]
 
 
 def _initial_step(f, t0, y, f0, direction, cfg):
     """Hairer's starting-step heuristic, vectorized per sample."""
-    order = 8 if cfg.tableau == "dp8" else 5
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scale = cfg.abs_tol + cfg.rel_tol * np.abs(y)
         d0 = np.sqrt(np.mean((y / scale) ** 2, axis=-1))
@@ -172,7 +134,7 @@ def _initial_step(f, t0, y, f0, direction, cfg):
         d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=-1)) / h0
         dm = np.maximum(d1, d2)
         h1 = np.where(dm <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(dm, 1e-300)) ** (1.0 / (order + 1)))
+                      (0.01 / np.maximum(dm, 1e-300)) ** (1.0 / 9.0))
         h = np.minimum(100.0 * h0, np.minimum(h1, cfg.max_step))
     return np.where(np.isfinite(h) & (h > 0.0), h, np.maximum(cfg.min_step, 1e-6))
 
@@ -191,15 +153,15 @@ def _combine(y, hs, weights, ks):
     return y + acc
 
 
-def _step(f, t, hs, y, k0, scheme):
+def _step(f, t, hs, y, k0):
     """One explicit step from (t, y) whose first stage is ``k0``.
 
     Returns the stage derivatives and the new state.
     """
     ks = [k0]
-    for i in range(1, scheme.n_stages):
-        ks.append(f(t + scheme.c[i] * hs, _combine(y, hs, scheme.a_rows[i], ks)))
-    return ks, _combine(y, hs, scheme.b, ks)
+    for i in range(1, _Dp8.n_stages):
+        ks.append(f(t + _Dp8.c[i] * hs, _combine(y, hs, _Dp8.a_rows[i], ks)))
+    return ks, _combine(y, hs, _Dp8.b, ks)
 
 
 def _adaptive(f: Callable, t0: float, y: np.ndarray, t_end: float,
@@ -209,7 +171,6 @@ def _adaptive(f: Callable, t0: float, y: np.ndarray, t_end: float,
     ``on_accept(t, hs, y_new)`` sees the rows accepted in each step, before
     they advance, so a caller can replay the same (t, h) sequence.
     """
-    scheme = cfg.scheme
     n = y.shape[0]
     direction = 1.0 if t_end > t0 else -1.0
     t = np.full(n, float(t0))
@@ -231,19 +192,19 @@ def _adaptive(f: Callable, t0: float, y: np.ndarray, t_end: float,
             )
         hs = direction * ha
 
-        ks, y_new = _step(f, ta, hs, ya, fsal[idx], scheme)
+        ks, y_new = _step(f, ta, hs, ya, fsal[idx])
         t_new = np.where(lands, t_end, ta + hs)
         ks.append(f(t_new, y_new))
 
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(ya), np.abs(y_new))
         # an estimate that overflows is infinite: the step is rejected
         with np.errstate(over="ignore", invalid="ignore"):
-            err = scheme.error_norm(np.array(ks), ha, scale)
+            err = _Dp8.error_norm(np.array(ks), ha, scale)
         err = np.where(np.isfinite(err), err, np.inf)
 
         accept = err <= 1.0
         with np.errstate(divide="ignore"):
-            factor = _SAFETY * np.where(err > 0.0, err**scheme.error_exponent, np.inf)
+            factor = _SAFETY * np.where(err > 0.0, err**_Dp8.error_exponent, np.inf)
         factor = np.clip(factor, _MIN_FACTOR, _MAX_FACTOR)
         factor = np.where(accept, factor, np.minimum(factor, 1.0))
 
@@ -296,7 +257,7 @@ def integrate_da(f: Callable, t0: float, y0_polys: Sequence, t_end: float,
 
     def replay(t, hs, y_new):
         nonlocal yp
-        _, yp = _step(f, t, hs, yp, f(t, yp), cfg.scheme)
+        _, yp = _step(f, t, hs, yp, f(t, yp))
         yp = yp - np.array([[p.const for p in yp[0]]]) + y_new
 
     _adaptive(f, t0, np.array([[p.const for p in y0_polys]]), t_end, cfg, on_accept=replay)
@@ -304,9 +265,8 @@ def integrate_da(f: Callable, t0: float, y0_polys: Sequence, t_end: float,
 
 
 def integrate_fixed(f: Callable, t0: float, y0: np.ndarray, t_end: float,
-                    n_steps: int, tableau: str = "dp8") -> np.ndarray:
-    """Constant-step integration (no error control), for convergence studies."""
-    scheme = _TABLEAUS[tableau]
+                    n_steps: int) -> np.ndarray:
+    """Constant-step Dormand-Prince 8 integration (no error control), for convergence studies."""
     y = np.array(y0, dtype=np.float64, copy=True)
     single = y.ndim == 1
     if single:
@@ -314,6 +274,6 @@ def integrate_fixed(f: Callable, t0: float, y0: np.ndarray, t_end: float,
     t = np.full(y.shape[0], float(t0))
     hs = np.full(y.shape[0], (t_end - t0) / n_steps)
     for _ in range(n_steps):
-        _, y = _step(f, t, hs, y, f(t, y), scheme)
+        _, y = _step(f, t, hs, y, f(t, y))
         t = t + hs
     return y[0] if single else y

@@ -23,7 +23,6 @@ is reproducible.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 

@@ -45,10 +45,6 @@ def seconds_since_j2000(jd: float) -> float:
     return (jd - J2000_JD) * DAY_S
 
 
-def jd_from_seconds(t_s: float) -> float:
-    return J2000_JD + t_s / DAY_S
-
-
 def julian_centuries(t_s: float) -> float:
     """Julian centuries since J2000 of a seconds-since-J2000 epoch."""
     return t_s / (DAY_S * 36525.0)

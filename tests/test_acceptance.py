@@ -442,10 +442,10 @@ def test_criterion_09_hf_propagator():
     cross = float(np.abs(np.array(cart_from_mee[:3]) - cart_end[:3]).max())
 
     rhs = make_cartesian_rhs(two_body, SpacecraftParams())
-    ref = integrate_fixed(rhs, 0.0, y0, period, 3000, "dp8")
+    ref = integrate_fixed(rhs, 0.0, y0, period, 3000)
     ns = [16, 20, 26, 34, 44]
     errs = [
-        np.linalg.norm(integrate_fixed(rhs, 0.0, y0, period, n, "dp8")[:3] - ref[:3])
+        np.linalg.norm(integrate_fixed(rhs, 0.0, y0, period, n)[:3] - ref[:3])
         for n in ns
     ]
     slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]

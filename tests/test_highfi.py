@@ -410,10 +410,10 @@ class TestPropagateHf:
         y0 = np.array([7000.0, 0, 0, 0, math.sqrt(MU / 7000.0), 0])
         rhs = make_cartesian_rhs(TWO_BODY, SC)
         t_end = period(7000.0)
-        ref = integrate_fixed(rhs, 0.0, y0, t_end, 3000, "dp8")
+        ref = integrate_fixed(rhs, 0.0, y0, t_end, 3000)
         ns = [16, 20, 26, 34, 44]
         errs = [
-            np.linalg.norm(integrate_fixed(rhs, 0.0, y0, t_end, n, "dp8")[:3] - ref[:3])
+            np.linalg.norm(integrate_fixed(rhs, 0.0, y0, t_end, n)[:3] - ref[:3])
             for n in ns
         ]
         slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
