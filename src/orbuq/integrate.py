@@ -133,6 +133,7 @@ def _initial_step(f, t0, y, f0, direction, cfg):
         f1 = f(t0 + direction * h0, y1)
         d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=-1)) / h0
         dm = np.maximum(d1, d2)
+        # exponent 1 / (p + 1) for the order p = 8 of the propagating solution
         h1 = np.where(dm <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(dm, 1e-300)) ** (1.0 / 9.0))
         h = np.minimum(100.0 * h0, np.minimum(h1, cfg.max_step))
