@@ -104,9 +104,9 @@ def cmd_gen_split_lib(args):
         raise CliError("penalty factor must be positive")
     if args.size < 1:
         raise CliError("library size must be >= 1")
-    lib = generate_split_library(args.size, args.penalty, seed=args.seed)
+    lib = generate_split_library(args.size, args.penalty)
     obj = lib.to_json_obj()
-    obj["meta"] = _meta(seed=args.seed)
+    obj["meta"] = _meta()
     _write_json(Path(args.out), obj)
     j = lib.residual_l2 + lib.lam_penalty * lib.sigma**2
     print(f"split library L={lib.L} lambda={lib.lam_penalty:g}")
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-split-lib", help="optimize a univariate splitting library")
     g.add_argument("--size", "-L", type=int, default=3)
     g.add_argument("--penalty", "--lambda", dest="penalty", type=float, default=1e-3)
-    g.add_argument("--seed", type=int, default=42)
     g.add_argument("--out", default="split_library.json")
     g.set_defaults(func=cmd_gen_split_lib)
 

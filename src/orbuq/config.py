@@ -3,7 +3,8 @@
 Configs are JSON with nested sections mirroring dotted key paths
 (``loads.eps_nu`` lives at ``{"loads": {"eps_nu": ...}}``).  Angles in
 ``ic.kepler`` are degrees; sigmas are km and km/s.  Command-line overrides use
-``dotted.key=value`` with JSON-parsed values, last one wins.
+``dotted.key=value`` with JSON-parsed values, last one wins.  The keys that
+``scenario_to_dict`` writes are the only valid ones; any other key is an error.
 """
 
 from __future__ import annotations
@@ -41,7 +42,19 @@ def _get(d: dict, path: str, default=None):
     return cur
 
 
+def _leaf_paths(d: dict, prefix: str = ""):
+    for key, value in d.items():
+        path = prefix + key
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, path + ".")
+        else:
+            yield path
+
+
 def scenario_from_dict(obj: dict) -> Scenario:
+    unknown = sorted(set(_leaf_paths(obj)) - _VALID_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(unknown)}")
     eset = ElementSet.parse(
         _get(obj, "elements.set", "cartesian"),
         _get(obj, "elements.fast_var"),
@@ -80,8 +93,6 @@ def scenario_from_dict(obj: dict) -> Scenario:
         n_max=_get(obj, "loads.n_max", 20),
         alpha_min=_get(obj, "loads.alpha_min", 1e-8),
         conversion_eps_nu=_get(obj, "loads.conversion_eps_nu", 0.01),
-        library_size=_get(obj, "library.L", 3),
-        library_lambda=_get(obj, "library.lambda", 1e-3),
         lf_theory=_get(obj, "lf.theory", "sgp4"),
         lf_j2=_get(obj, "lf.j2"),
         shift_mode=_get(obj, "shift.mode", "osculating"),
@@ -111,7 +122,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "alpha_min": s.alpha_min,
             "conversion_eps_nu": s.conversion_eps_nu,
         },
-        "library": {"L": s.library_size, "lambda": s.library_lambda},
         "lf": {"theory": s.lf_theory, "j2": s.lf_j2},
         "shift": {"mode": s.shift_mode},
         "seed": s.seed,
@@ -137,6 +147,12 @@ def scenario_to_dict(s: Scenario) -> dict:
             "cr": s.spacecraft.cr,
         },
     }
+
+
+# every leaf path that scenario_to_dict writes, whatever the scenario
+_VALID_KEYS = frozenset(
+    _leaf_paths(scenario_to_dict(Scenario("", (0.0,) * 6, (0.0,) * 6)))
+)
 
 
 def apply_overrides(obj: dict, overrides: list[str]) -> dict:

@@ -3,8 +3,10 @@
 A mixture component is replaced by ``L`` narrower components along one
 eigen-direction of its covariance using a precomputed univariate library: the
 optimal homoscedastic, symmetric L-term approximation of the standard normal
-under an L2 objective with a variance penalty.  The library is generated once
-by a small constrained optimization and reused for every split.
+under an L2 objective with a variance penalty.  Every run splits with the
+L = 3, lambda = 1e-3 library, shipped as the literal ``DEFAULT_LIBRARY``;
+``generate_split_library`` solves the small constrained optimization that
+produced it, for that or any other size and penalty.
 
 The unscented transform supplies the deterministic sample set used to push
 component statistics through polynomial flow maps; the L2 distance and the
@@ -20,12 +22,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ta import AlgebraContext
 
 __all__ = [
-    "GaussianKernel", "GaussianMixture", "SplitLibrary", "SigmaSet",
+    "GaussianKernel", "GaussianMixture", "SplitLibrary", "DEFAULT_LIBRARY", "SigmaSet",
     "gaussian_pdf", "l2_distance", "l2_library_residual",
     "generate_split_library", "split_kernel", "ut_sigma",
     "reconstruct_moments", "lam", "lam_dmm", "marginal_mixture",
@@ -34,6 +35,18 @@ __all__ = [
 ]
 
 _EIG_CLAMP = -1e-12
+
+# Kernel side: a kernel's regular subspace keeps the eigendirections above this
+# fraction of its largest eigenvalue.  The cut is relative because eigh's
+# roundoff on an eigenvalue is relative to the largest one of the same matrix.
+_SUPPORT_RTOL = 1e-12
+
+# Output side: a mixture coordinate is regular when some kernel's variance
+# exceeds this, absolute in that coordinate's squared units.  The question is
+# asked of each coordinate alone, whose units (km^2, (km/s)^2, rad^2) make its
+# variance incomparable with the others', and an inert input coordinate picks
+# up only roundoff through the maps, far below it.
+_REGULAR_VARIANCE = 1e-18
 
 
 def spectral_factors(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,31 +203,31 @@ def lam_dmm(samples: np.ndarray, q: GaussianMixture) -> float:
     return float(total / samples.shape[0])
 
 
-def support_factors(kernel: GaussianKernel, rtol: float = 1e-12
+def support_factors(kernel: GaussianKernel
                     ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Eigenvalues, eigenvectors and log normaliser of a kernel's regular subspace.
 
-    The subspace keeps the eigendirections above ``rtol`` of the largest
-    eigenvalue; an all-zero covariance has none and gives None.
+    The subspace keeps the eigendirections above ``_SUPPORT_RTOL`` of the
+    largest eigenvalue; an all-zero covariance has none and gives None.
     """
     lam, vec = spectral_factors(kernel.cov)
     if lam.max() <= 0.0:
         return None
-    keep = lam > rtol * lam.max()
+    keep = lam > _SUPPORT_RTOL * lam.max()
     lk = lam[keep]
     return lk, vec[:, keep], 0.5 * np.sum(np.log(2.0 * np.pi * lk))
 
 
-def kernel_logpdf_support(kernel: GaussianKernel, xs: np.ndarray,
-                          rtol: float = 1e-12) -> np.ndarray:
+def kernel_logpdf_support(kernel: GaussianKernel, xs: np.ndarray) -> np.ndarray:
     """Log density of points restricted to the kernel's regular subspace.
 
     Singular covariances (exact zero-variance directions) are handled by
-    dropping eigendirections below ``rtol`` of the largest eigenvalue; the
-    caller is responsible for points actually lying on the support.
+    dropping eigendirections below ``_SUPPORT_RTOL`` of the largest
+    eigenvalue; the caller is responsible for points actually lying on the
+    support.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    factors = support_factors(kernel, rtol)
+    factors = support_factors(kernel)
     if factors is None:
         return np.zeros(xs.shape[0])
     lk, vk, lognorm = factors
@@ -223,8 +236,8 @@ def kernel_logpdf_support(kernel: GaussianKernel, xs: np.ndarray,
     return -0.5 * maha - lognorm
 
 
-def logpdf_quadratic_forms(kernels: Sequence[GaussianKernel], centre: np.ndarray,
-                           rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def logpdf_quadratic_forms(kernels: Sequence[GaussianKernel], centre: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """``log weight + kernel_logpdf_support`` of every kernel as a quadratic in x - centre.
 
     Returns ``(G, H)``, each of shape (K, M) over the M monomials of
@@ -250,7 +263,7 @@ def logpdf_quadratic_forms(kernels: Sequence[GaussianKernel], centre: np.ndarray
     h = np.zeros((len(kernels), ctx.size))
     for k, kernel in enumerate(kernels):
         logw = math.log(kernel.weight)
-        factors = support_factors(kernel, rtol)
+        factors = support_factors(kernel)
         if factors is None:
             g[k, 0], h[k, 0] = logw, abs(logw)
             continue
@@ -269,16 +282,16 @@ def logpdf_quadratic_forms(kernels: Sequence[GaussianKernel], centre: np.ndarray
     return g, h
 
 
-def regular_dims(mix: GaussianMixture, tol: float = 1e-18) -> list[int]:
-    """Coordinates on which some kernel's variance exceeds ``tol``.
+def regular_dims(mix: GaussianMixture) -> list[int]:
+    """Coordinates on which some kernel's variance exceeds ``_REGULAR_VARIANCE``.
 
     Only kernel variances count; the spread of the kernel means does not.  A
     coordinate that is inert at the input (exactly zero variance) picks up
-    at most roundoff-level variance through the maps, far below ``tol``
+    at most roundoff-level variance through the maps, far below the cut
     (absolute, in the coordinate's squared units), and is dropped.
     """
     var = np.max([np.diag(k.cov) for k in mix.kernels], axis=0)
-    return [j for j in range(mix.dim) if var[j] > tol]
+    return [j for j in range(mix.dim) if var[j] > _REGULAR_VARIANCE]
 
 
 def marginal_mixture(mix: GaussianMixture, dims: Sequence[int]) -> GaussianMixture:
@@ -362,6 +375,21 @@ class SplitLibrary:
             return cls.from_json_obj(json.load(fh))
 
 
+# The library every run splits with: the full-precision output of
+# ``generate_split_library(3, 1e-3)``, shipped so that no run calls the
+# optimizer.  Table 1 of Vittaldev & Russell (JGCD 2016) lists a solution of
+# the same problem within 1e-7 of it; the objective is too flat at its optimum
+# to tell the two apart.
+DEFAULT_LIBRARY = SplitLibrary(
+    L=3,
+    weights=(0.2252246761136891, 0.5495506477726217, 0.2252246761136891),
+    means=(-1.0575150004040517, 0.0, 1.0575150004040517),
+    sigma=0.6715665400133652,
+    lam_penalty=1e-3,
+    residual_l2=6.138821768753022e-05,
+)
+
+
 def _half_params(lib: SplitLibrary) -> tuple[float, np.ndarray, np.ndarray]:
     """(alpha0, alpha_i, mu_i) for i = 1..floor(L/2), the symmetric half."""
     l = lib.L // 2
@@ -428,8 +456,11 @@ def generate_split_library(L: int, lam_penalty: float, *,
     Minimizes ``L2(N(0,1), mixture) + lam_penalty * sigma^2`` subject to the
     symmetry/normalization/ordering constraints, all enforced by construction
     through the variable transform in ``_unpack``.  Nelder-Mead with seeded
-    random restarts; deterministic for fixed inputs.
+    random restarts; deterministic for fixed inputs.  (3, 1e-3) reproduces
+    ``DEFAULT_LIBRARY``; only this function loads scipy's optimizer.
     """
+    from scipy.optimize import minimize
+
     if L < 1:
         raise ValueError("L must be >= 1")
     if lam_penalty <= 0:

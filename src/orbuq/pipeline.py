@@ -49,10 +49,10 @@ from .elements import (
 )
 from .forces import ForceConfig, SpacecraftParams
 from .gmm import (
+    DEFAULT_LIBRARY,
     GaussianKernel,
     GaussianMixture,
     SplitLibrary,
-    generate_split_library,
     kernel_logpdf_support,
     lam_dmm,
     logpdf_quadratic_forms,
@@ -116,8 +116,6 @@ class Scenario:
     ci: float = 3.0
     n_max: int = 20
     alpha_min: float = 1e-8
-    library_size: int = 3
-    library_lambda: float = 1e-3
     conversion_eps_nu: float = 0.01
     lf_theory: str = "sgp4"
     lf_j2: float | None = None     # kepler_j2 theory only; None keeps the default
@@ -127,7 +125,7 @@ class Scenario:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     spacecraft: SpacecraftParams = field(default_factory=SpacecraftParams)
     ut_kappa: float | None = None         # None: 3 - n
-    library: SplitLibrary | None = None   # None: generate from (size, lambda)
+    library: SplitLibrary = DEFAULT_LIBRARY
 
     def __post_init__(self):
         if len(self.ic_kepler) != 6 or len(self.sigma_cartesian) != 6:
@@ -165,9 +163,7 @@ class Scenario:
         return np.array(rv), cov
 
     def split_library(self) -> SplitLibrary:
-        if self.library is not None:
-            return self.library
-        return generate_split_library(self.library_size, self.library_lambda)
+        return self.library
 
 
 def make_theory(scenario: Scenario):

@@ -28,6 +28,7 @@ from orbuq.elements import (
 )
 from orbuq.forces import ForceConfig, SpacecraftParams, load_gravity_field
 from orbuq.gmm import (
+    DEFAULT_LIBRARY,
     GaussianKernel,
     GaussianMixture,
     generate_split_library,
@@ -284,7 +285,7 @@ def test_criterion_04_nli_correctness():
 
 
 def test_criterion_05_loads_structure():
-    lib = generate_split_library(3, 1e-3)
+    lib = DEFAULT_LIBRARY
 
     def f(state):
         x, y = state

@@ -9,8 +9,14 @@ import pytest
 
 from orbuq import pipeline
 from orbuq.cli import main
-from orbuq.config import apply_overrides, config_hash, load_scenario, scenario_to_dict
-from orbuq.gmm import GaussianKernel, GaussianMixture
+from orbuq.config import (
+    apply_overrides,
+    config_hash,
+    load_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
+from orbuq.gmm import GaussianKernel, GaussianMixture, generate_split_library
 from orbuq.pipeline import Scenario
 
 
@@ -24,7 +30,6 @@ def tiny_config(tmp_path):
         "periods": 0.25,
         "elements": {"set": "cartesian", "fast_var": None},
         "loads": {"eps_nu": 0.5, "ci": 3.0, "n_max": 20, "alpha_min": 1e-8},
-        "library": {"L": 3, "lambda": 1e-3},
         "lf": {"theory": "kepler_j2", "j2": 0.0},
         "shift": {"mode": "osculating"},
         "seed": 42,
@@ -46,6 +51,10 @@ class TestGenSplitLib:
         assert abs(obj["weights"][0] - 0.2252246852539708) < 1e-4
         assert abs(obj["means"][2] - 1.0575150485760967) < 1e-4
         assert abs(obj["sigma"] - 0.6715664864669252) < 1e-4
+        # the bits of the library that runs split with, not of one from
+        # another restart seed (tests/test_gmm.py compares them to the literal)
+        del obj["meta"]
+        assert obj == generate_split_library(3, 1e-3).to_json_obj()
         text = capsys.readouterr().out
         assert "L2 residual" in text and "objective J" in text
 
@@ -245,6 +254,18 @@ class TestConfigHelpers:
         back = scenario_to_dict(scenario)
         assert back["ic"]["kepler"] == obj["ic"]["kepler"]
         assert back["loads"]["eps_nu"] == obj["loads"]["eps_nu"]
+        assert scenario_from_dict(back) == scenario
+
+    @pytest.mark.parametrize("item", ["loads.epsnu=0.5", 'hf.tableau="dp5"', "library.L=3"])
+    def test_unknown_key_exit_2(self, tiny_config, tmp_path, capsys, item):
+        # a misspelt key, the removed hf.tableau and the removed library.L
+        key = item.partition("=")[0]
+        with pytest.raises(ValueError, match=re.escape(key)):
+            load_scenario(str(tiny_config), [item])
+        code = main(["run", str(tiny_config), "--outdir", str(tmp_path / "out"),
+                     "--set", item])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_config_hash_stable_and_sensitive(self):
         _, obj = load_scenario("leo")

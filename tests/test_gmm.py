@@ -7,13 +7,19 @@ nonlinear-map mean.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import orbuq
 from orbuq.gmm import (
+    DEFAULT_LIBRARY,
     GaussianKernel,
     GaussianMixture,
     SplitLibrary,
@@ -177,6 +183,35 @@ class TestGenerateLibrary:
     def test_invalid_penalty(self):
         with pytest.raises(ValueError):
             generate_split_library(3, 0.0)
+
+
+class TestDefaultLibrary:
+    def test_generator_reproduces_literal(self, optimized_library):
+        # The objective is flat at its optimum: the smallest eigenvalue of its
+        # Hessian in (weight, mean, sigma) is 0.0149, and its rounding noise
+        # there is 3.7e-16, so it cannot tell apart parameters within
+        # sqrt(2 * 3.7e-16 / 0.0149) = 2.2e-7 of each other (restarts from
+        # other seeds land 0.8e-8 to 2.7e-8 away).  A numpy or scipy build
+        # whose exp or simplex steps round differently may land anywhere in
+        # that flat bottom; with numpy 2.4 and scipy 1.17 the bits are equal.
+        lib = optimized_library
+        assert lib.L == DEFAULT_LIBRARY.L
+        assert lib.lam_penalty == DEFAULT_LIBRARY.lam_penalty
+        np.testing.assert_allclose(lib.weights, DEFAULT_LIBRARY.weights, rtol=0, atol=5e-7)
+        np.testing.assert_allclose(lib.means, DEFAULT_LIBRARY.means, rtol=0, atol=5e-7)
+        assert lib.sigma == pytest.approx(DEFAULT_LIBRARY.sigma, rel=0, abs=5e-7)
+        j_lit = DEFAULT_LIBRARY.residual_l2 + 1e-3 * DEFAULT_LIBRARY.sigma**2
+        j_opt = lib.residual_l2 + 1e-3 * lib.sigma**2
+        assert j_opt == pytest.approx(j_lit, rel=0, abs=1e-15)
+        assert l2_library_residual(DEFAULT_LIBRARY) == DEFAULT_LIBRARY.residual_l2
+
+    def test_run_path_does_not_import_the_optimizer(self):
+        src = str(Path(orbuq.__file__).resolve().parents[1])
+        code = ("import sys, orbuq.config, orbuq.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestSplitKernel:

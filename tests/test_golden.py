@@ -13,12 +13,10 @@ in one call, with no member-by-member fallback.
 import hashlib
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
 from orbuq.config import load_scenario
-from orbuq.gmm import generate_split_library
 from orbuq.pipeline import lf_stage
 
 # (bundled scenario, overrides, kernels, histories digest, weight checksum)
@@ -46,16 +44,12 @@ def weight_checksum(inputs) -> float:
     return math.fsum((i + 1) ** 2 * d.weight for i, d in enumerate(inputs))
 
 
-@pytest.fixture(scope="module")
-def library():
-    return generate_split_library(3, 1e-3)
-
-
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_manifold(case, library):
+def test_golden_manifold(case):
+    # the scenario's default library: the shipped DEFAULT_LIBRARY literal
     name, overrides, kernels, digest, checksum = GOLDEN[case]
     scenario, _ = load_scenario(name, overrides)
-    stage = lf_stage(replace(scenario, library=library))
+    stage = lf_stage(scenario)
     assert stage.n_kernels == kernels
     assert histories_digest(stage.inputs) == digest
     assert weight_checksum(stage.inputs) == pytest.approx(checksum, rel=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from orbuq.gmm import GaussianKernel, GaussianMixture, gaussian_pdf, generate_split_library
+from orbuq.gmm import GaussianKernel, GaussianMixture, gaussian_pdf
 from orbuq.loads import (
     LoadsConfig,
     SplitStats,

@@ -19,8 +19,9 @@ from orbuq.elements import (
     convert_values,
 )
 from orbuq.forces import ForceConfig
-from orbuq import pipeline
+from orbuq import gmm, pipeline
 from orbuq.gmm import (
+    DEFAULT_LIBRARY,
     GaussianKernel,
     GaussianMixture,
     kernel_logpdf_support,
@@ -85,6 +86,15 @@ class TestScenario:
     def test_epoch_seconds(self):
         s = kepler_identity_scenario()
         assert s.epoch_s == pytest.approx((2459215.5 - 2451545.0) * 86400.0)
+
+    def test_lf_stage_splits_without_the_optimizer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate_split_library called on the run path")
+
+        monkeypatch.setattr(gmm, "generate_split_library", refuse)
+        stage = lf_stage(kepler_identity_scenario(eps_nu=0.002))
+        # one split of the root, with the shipped library's weights
+        assert [d.weight for d in stage.inputs] == list(DEFAULT_LIBRARY.weights)
 
 
 class TestMfPropagate:
