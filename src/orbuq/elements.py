@@ -71,10 +71,7 @@ class ElementSet:
     @classmethod
     def parse(cls, kind: str, fast: str | None = None) -> "ElementSet":
         k = ElemKind(kind.lower())
-        if fast is None:
-            return cls(k)
-        fv = FastVar.TRUE_LONGITUDE if fast in ("L", "true") else FastVar.MEAN_LONGITUDE
-        return cls(k, fv)
+        return cls(k, None if fast is None else FastVar(fast))
 
     def label(self) -> str:
         if self.fast is None:

@@ -12,6 +12,12 @@ The unscented transform supplies the deterministic sample set used to push
 component statistics through polynomial flow maps; the L2 distance and the
 likelihood agreement measure (overlap integral) quantify how well two
 densities, or a density and a Monte-Carlo cloud, agree.
+
+A kernel of a split tree is scored from its eigenpairs, not its covariance:
+``logpdf_quadratic_forms`` and ``kernel_logpdf_support`` take the weight,
+mean, eigenvalues and eigenvectors that the split loop keeps for it.  One
+rule, ``is_inert``, says which directions carry no uncertainty: an
+eigenvalue of exactly 0.0.
 """
 
 from __future__ import annotations
@@ -30,16 +36,11 @@ __all__ = [
     "gaussian_pdf", "l2_distance", "l2_library_residual",
     "generate_split_library", "split_kernel", "ut_sigma",
     "reconstruct_moments", "lam", "lam_dmm", "marginal_mixture",
-    "spectral_factors", "support_factors", "kernel_logpdf_support",
+    "spectral_factors", "is_inert", "kernel_logpdf_support",
     "logpdf_quadratic_forms", "regular_dims",
 ]
 
 _EIG_CLAMP = -1e-12
-
-# Kernel side: a kernel's regular subspace keeps the eigendirections above this
-# fraction of its largest eigenvalue.  The cut is relative because eigh's
-# roundoff on an eigenvalue is relative to the largest one of the same matrix.
-_SUPPORT_RTOL = 1e-12
 
 # Output side: a mixture coordinate is regular when some kernel's variance
 # exceeds this, absolute in that coordinate's squared units.  The question is
@@ -72,6 +73,17 @@ def spectral_factors(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"covariance has negative eigenvalue {lam.min():.3e}")
     lam = np.clip(lam, 0.0, None)
     return lam, vec
+
+
+def is_inert(eigvals):
+    """True where an eigenvalue marks an inert direction: exactly 0.0.
+
+    This is the one rule for inert directions.  ``spectral_factors`` makes
+    them exact (zero rows and columns, and clamped negative roundoff), and a
+    split multiplies one eigenvalue by sigma^2 > 0, so the inert set of a
+    split tree is its root's.  Takes a scalar or an array.
+    """
+    return np.asarray(eigvals) == 0.0
 
 
 @dataclass(frozen=True)
@@ -194,7 +206,7 @@ def lam_dmm(samples: np.ndarray, q: GaussianMixture) -> float:
     total = 0.0
     for k in q.kernels:
         lamk, veck = spectral_factors(k.cov)
-        if lamk.min() <= 0:
+        if is_inert(lamk).any():
             raise np.linalg.LinAlgError("singular kernel in lam_dmm")
         d = (samples - k.mean) @ veck
         maha = np.sum(d * d / lamk, axis=1)
@@ -203,52 +215,45 @@ def lam_dmm(samples: np.ndarray, q: GaussianMixture) -> float:
     return float(total / samples.shape[0])
 
 
-def support_factors(kernel: GaussianKernel
-                    ) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Eigenvalues, eigenvectors and log normaliser of a kernel's regular subspace.
-
-    The subspace keeps the eigendirections above ``_SUPPORT_RTOL`` of the
-    largest eigenvalue; an all-zero covariance has none and gives None.
-    """
-    lam, vec = spectral_factors(kernel.cov)
-    if lam.max() <= 0.0:
-        return None
-    keep = lam > _SUPPORT_RTOL * lam.max()
-    lk = lam[keep]
-    return lk, vec[:, keep], 0.5 * np.sum(np.log(2.0 * np.pi * lk))
+def _live_factors(eigvals: np.ndarray, eigvecs: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues, eigenvectors and log normaliser of the live directions."""
+    live = ~is_inert(eigvals)
+    lk = eigvals[live]
+    return lk, eigvecs[:, live], 0.5 * np.sum(np.log(2.0 * np.pi * lk))
 
 
-def kernel_logpdf_support(kernel: GaussianKernel, xs: np.ndarray) -> np.ndarray:
-    """Log density of points restricted to the kernel's regular subspace.
+def kernel_logpdf_support(weight: float, mean: np.ndarray, eigvals: np.ndarray,
+                          eigvecs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Log weight plus log density of points on a kernel's live subspace.
 
-    Singular covariances (exact zero-variance directions) are handled by
-    dropping eigendirections below ``_SUPPORT_RTOL`` of the largest
-    eigenvalue; the caller is responsible for points actually lying on the
-    support.
+    The kernel is given by its weight, mean and eigenpairs (eigenvectors as
+    columns).  Inert directions (``is_inert``) are dropped, and with them
+    any offset of a point along them; a kernel without live directions
+    scores its log weight everywhere.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    factors = support_factors(kernel)
-    if factors is None:
-        return np.zeros(xs.shape[0])
-    lk, vk, lognorm = factors
-    d = (xs - kernel.mean) @ vk
+    lk, vk, lognorm = _live_factors(eigvals, eigvecs)
+    d = (xs - mean) @ vk
     maha = np.sum(d * d / lk, axis=1)
-    return -0.5 * maha - lognorm
+    return math.log(weight) + (-0.5 * maha - lognorm)
 
 
-def logpdf_quadratic_forms(kernels: Sequence[GaussianKernel], centre: np.ndarray
+def logpdf_quadratic_forms(weights: np.ndarray, means: np.ndarray, eigvals: np.ndarray,
+                           eigvecs: np.ndarray, centre: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """``log weight + kernel_logpdf_support`` of every kernel as a quadratic in x - centre.
+    """``kernel_logpdf_support`` of every kernel as a quadratic in x - centre.
 
-    Returns ``(G, H)``, each of shape (K, M) over the M monomials of
-    ``AlgebraContext(2, dim)``: ``monomial_values(x - centre) @ G[k]`` is
-    kernel k's log weight plus log density on its regular subspace (same
-    factors and keep rule as ``kernel_logpdf_support``).  ``H`` holds the
-    same coefficients built from absolute values, ``|V| diag(1/l) |V|^T``
-    in place of the precision ``V diag(1/l) V^T`` and ``|mean - centre|``
-    in place of ``mean - centre``; ``|F| @ H[k]`` bounds the magnitude of
-    every term that either form of the log density sums for a point with
-    monomials ``F``, which is what a rounding bound needs.
+    The K kernels are given as stacked arrays: ``weights`` (K,), ``means``
+    (K, d), ``eigvals`` (K, d) and ``eigvecs`` (K, d, d).  Returns ``(G,
+    H)``, each of shape (K, M) over the M monomials of ``AlgebraContext(2,
+    d)``: ``monomial_values(x - centre) @ G[k]`` is kernel k's log weight
+    plus log density on its live subspace.  ``H`` holds the same
+    coefficients built from absolute values, ``|V| diag(1/l) |V|^T`` in
+    place of the precision ``V diag(1/l) V^T`` and ``|mean - centre|`` in
+    place of ``mean - centre``; ``|F| @ H[k]`` bounds the magnitude of every
+    term that either form of the log density sums for a point with monomials
+    ``F``, which is what a rounding bound needs.
     """
     centre = np.asarray(centre, dtype=np.float64)
     ctx = AlgebraContext(2, centre.size)
@@ -259,18 +264,14 @@ def logpdf_quadratic_forms(kernels: Sequence[GaussianKernel], centre: np.ndarray
     qj = np.array([np.flatnonzero(ctx.expmat[m])[-1] for m in quad])
     # y_i^2 carries -P_ii / 2; y_i y_j (i < j) carries -P_ij, twice the half
     qfac = np.where(qi == qj, 0.5, 1.0)
-    g = np.zeros((len(kernels), ctx.size))
-    h = np.zeros((len(kernels), ctx.size))
-    for k, kernel in enumerate(kernels):
-        logw = math.log(kernel.weight)
-        factors = support_factors(kernel)
-        if factors is None:
-            g[k, 0], h[k, 0] = logw, abs(logw)
-            continue
-        lk, vk, lognorm = factors
+    g = np.zeros((len(weights), ctx.size))
+    h = np.zeros((len(weights), ctx.size))
+    for k, weight in enumerate(weights):
+        logw = math.log(weight)
+        lk, vk, lognorm = _live_factors(eigvals[k], eigvecs[k])
         prec = (vk / lk) @ vk.T
         prec_abs = (np.abs(vk) / lk) @ np.abs(vk).T
-        d = kernel.mean - centre
+        d = means[k] - centre
         pd = prec @ d
         ad = prec_abs @ np.abs(d)
         g[k, 0] = logw - lognorm - 0.5 * (d @ pd)
@@ -522,7 +523,7 @@ def split_kernel(kernel: GaussianKernel, direction: int, lib: SplitLibrary,
     if not 0 <= direction < n:
         raise IndexError(f"direction {direction} out of range 0..{n - 1}")
     lk = lamv[direction]
-    if lk <= 0.0:
+    if is_inert(lk):
         raise ValueError(f"zero eigenvalue along direction {direction}: nothing to split")
     vk = vec[:, direction]
     sqlk = math.sqrt(lk)

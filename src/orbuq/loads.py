@@ -2,7 +2,10 @@
 
 A domain couples a polynomial state (the uncertainty set, always an affine
 function of the box variables on input) with its Gaussian kernel and the
-spectral factorization of the kernel covariance.  The engine evaluates the
+spectral factorization of the kernel covariance.  That factorization is the
+kernel's only one: the split loop, the box charts and the sample scoring all
+read it, and its eigenvalue is exactly 0.0 on an inert direction
+(``gmm.is_inert``), which is never split.  The engine evaluates the
 target map on each queued domain, measures nonlinearity from the Taylor
 expansion of the map Jacobian, re-normalized by the current kernel's
 one-sigma-times-CI amplitudes, and when the index exceeds the threshold
@@ -17,7 +20,8 @@ member by member, which reproduces the lone images and errors.  Domains are
 processed in generation order and children are appended in library order,
 which is each root's breadth-first order; the leaves are returned grouped by
 root in root order, and weights are conserved exactly, so manifold ordering
-is reproducible.
+is reproducible.  The loop returns the leaves and, index-aligned, their
+images under the target.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .gmm import GaussianKernel, SplitLibrary, spectral_factors, split_kernel
+from .gmm import GaussianKernel, SplitLibrary, is_inert, spectral_factors, split_kernel
 from .ta import AlgebraContext, DAVector, TaylorPoly
 
 __all__ = [
@@ -40,7 +44,12 @@ __all__ = [
 
 @dataclass
 class Domain:
-    """One uncertainty subset: polynomial state, kernel, spectral bookkeeping."""
+    """One uncertainty subset: polynomial state, kernel, spectral bookkeeping.
+
+    ``eigvecs`` and ``eigvals`` are the kernel's eigenpairs, the only
+    factorization of its covariance that is read after a split; ``eigvals``
+    is exactly 0.0 on inert directions.
+    """
 
     state: DAVector
     kernel: GaussianKernel
@@ -177,7 +186,7 @@ def scaled_jacobian(image: DAVector, eigvals: Sequence[float], ci: float
     Column j is the partial with respect to box variable j divided by
     ``(ci * sqrt(lambda_j))**2``: one factor converts the box derivative to a
     physical derivative along eigendirection j, the second rescales it by the
-    kernel's CI amplitude.  Degenerate directions (``lambda_j == 0``) carry no
+    kernel's CI amplitude.  Inert directions (``is_inert``) carry no
     uncertainty and are zeroed out.
     """
     lam = np.asarray(eigvals, dtype=np.float64)
@@ -188,9 +197,8 @@ def scaled_jacobian(image: DAVector, eigvals: Sequence[float], ci: float
     ctx = image.ctx
     if lam.size != ctx.nvars:
         raise ValueError("eigenvalue count must match the variable count")
-    cols = [
-        None if lam[j] == 0.0 else 1.0 / (ci * ci * lam[j]) for j in range(ctx.nvars)
-    ]
+    inert = is_inert(lam)
+    cols = [None if inert[j] else 1.0 / (ci * ci * lam[j]) for j in range(ctx.nvars)]
     out = []
     for comp in image:
         row = []
@@ -264,7 +272,7 @@ def split_domain(domain: Domain, k: int, lib: SplitLibrary, ci: float
     ctx = domain.state.ctx
     if not 1 <= k <= ctx.nvars:
         raise IndexError(f"split direction {k} out of range 1..{ctx.nvars}")
-    if domain.eigvals[k - 1] <= 0.0:
+    if is_inert(domain.eigvals[k - 1]):
         raise ValueError(f"direction {k} carries no uncertainty; refusing split")
     kernels = split_kernel(
         domain.kernel, k - 1, lib, basis=(domain.eigvals, domain.eigvecs)
@@ -320,34 +328,23 @@ def map_stacked(f: Callable[[DAVector], DAVector], states: Sequence[DAVector],
 
 
 def loads_gmm(f: Callable[[DAVector], DAVector], roots: Sequence[Domain],
-              cfg: LoadsConfig) -> tuple[Manifold, Manifold]:
+              cfg: LoadsConfig) -> tuple[Manifold, list[DAVector]]:
     """Split every root until each subdomain's scaled-Jacobian index clears the threshold.
 
-    Returns index-aligned input and image manifolds whose leaves are grouped
-    by root in root order, each root's in its breadth-first order.  Domains
-    lighter than ``alpha_min`` are emitted as-is without evaluating their
-    index; emitted weights always sum to the roots' weights.  A failure of
-    the target, the index or the split direction is re-raised as a
-    ``RuntimeError`` naming the root and the split history of the domain.
+    Returns the leaves as a manifold and, index-aligned, their images under
+    ``f``.  The leaves are grouped by root in root order, each root's in its
+    breadth-first order.  Domains lighter than ``alpha_min`` are emitted
+    as-is without evaluating their index; emitted weights always sum to the
+    roots' weights.  A failure of the target, the index or the split
+    direction is re-raised as a ``RuntimeError`` naming the root and the
+    split history of the domain.
     """
     stats = SplitStats()
-    inputs: list[list[Domain]] = [[] for _ in roots]
-    images: list[list[Domain]] = [[] for _ in roots]
+    leaves: list[list[tuple[Domain, DAVector]]] = [[] for _ in roots]
 
-    def emit(r: int, din: Domain, y: DAVector, nu: float | None):
-        din.nli = nu
-        inputs[r].append(din)
-        images[r].append(
-            Domain(
-                state=y,
-                kernel=din.kernel,
-                eigvecs=din.eigvecs,
-                eigvals=din.eigvals,
-                nsplits=din.nsplits,
-                history=list(din.history),
-                nli=nu,
-            )
-        )
+    def emit(r: int, d: Domain, y: DAVector, nu: float | None):
+        d.nli = nu
+        leaves[r].append((d, y))
 
     generation = list(enumerate(roots))
     while generation:
@@ -372,5 +369,5 @@ def loads_gmm(f: Callable[[DAVector], DAVector], roots: Sequence[Domain],
                 ) from exc
             children.extend((r, c) for c in split_domain(d, k, cfg.library, cfg.ci))
         generation = children
-    return (Manifold([d for leaves in inputs for d in leaves], stats),
-            Manifold([d for leaves in images for d in leaves], stats))
+    flat = [leaf for group in leaves for leaf in group]
+    return Manifold([d for d, _ in flat], stats), [y for _, y in flat]

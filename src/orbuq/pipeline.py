@@ -53,6 +53,7 @@ from .gmm import (
     GaussianKernel,
     GaussianMixture,
     SplitLibrary,
+    is_inert,
     kernel_logpdf_support,
     lam_dmm,
     logpdf_quadratic_forms,
@@ -206,7 +207,7 @@ class MfResult:
     @cached_property
     def stacked(self) -> "StackedKernels":
         """Whole-array view of the kernels, built on first use."""
-        return StackedKernels.build(self.inputs, self.maps_lf, self.maps_mf, self.scenario.ci)
+        return StackedKernels.build(self.inputs, self.maps_lf, self.maps_mf)
 
     def metrics_obj(self) -> dict:
         return {
@@ -227,38 +228,32 @@ class StackedKernels:
 
     ``score`` and ``score_abs`` are the ``(G, H)`` pair of
     ``logpdf_quadratic_forms`` about ``centre``, the weighted mean of the
-    kernel means; the rest holds, per kernel, the mean, the eigenbasis and
-    the CI amplitudes of its box chart, and the coefficients of its LF and
-    MF maps (monomial by output component).
+    kernel means, built from each domain's eigenpairs; ``coeffs_lf`` and
+    ``coeffs_mf`` hold the coefficients of every kernel's LF and MF maps
+    (monomial by output component).
     """
 
     centre: np.ndarray       # (d,)
     score: np.ndarray        # (K, 28)
     score_abs: np.ndarray    # (K, 28)
-    means: np.ndarray        # (K, d)
-    eigvecs: np.ndarray      # (K, d, d)
-    amp: np.ndarray          # (K, d); zero on inert directions
     coeffs_lf: np.ndarray    # (K, M, d)
     coeffs_mf: np.ndarray    # (K, M, d)
 
     @classmethod
     def build(cls, inputs: Manifold, maps_lf: Sequence[DAVector],
-              maps_mf: Sequence[DAVector], ci: float) -> "StackedKernels":
-        kernels = [dom.kernel for dom in inputs]
-        weights = np.array([k.weight for k in kernels])
-        means = np.array([k.mean for k in kernels])
+              maps_mf: Sequence[DAVector]) -> "StackedKernels":
+        weights = np.array([dom.weight for dom in inputs])
+        means = np.array([dom.kernel.mean for dom in inputs])
         centre = weights @ means / weights.sum()
-        score, score_abs = logpdf_quadratic_forms(kernels, centre)
+        score, score_abs = logpdf_quadratic_forms(
+            weights, means, np.array([dom.eigvals for dom in inputs]),
+            np.array([dom.eigvecs for dom in inputs]), centre)
 
         def coeffs(maps):
             return np.array([np.stack([p.c for p in mp], axis=1) for mp in maps])
 
-        return cls(
-            centre=centre, score=score, score_abs=score_abs, means=means,
-            eigvecs=np.array([dom.eigvecs for dom in inputs]),
-            amp=np.array([ci * np.sqrt(dom.eigvals) for dom in inputs]),
-            coeffs_lf=coeffs(maps_lf), coeffs_mf=coeffs(maps_mf),
-        )
+        return cls(centre=centre, score=score, score_abs=score_abs,
+                   coeffs_lf=coeffs(maps_lf), coeffs_mf=coeffs(maps_mf))
 
 
 def batch_propagate_chunked(states: np.ndarray, t0_s: float, t1_s: float,
@@ -306,15 +301,15 @@ def _rows_from_cartesian(rows: np.ndarray, eset: ElementSet, mu: float,
     return out
 
 
-def _box_coordinates(points: np.ndarray, mean: np.ndarray, eigvecs: np.ndarray,
-                     amp: np.ndarray) -> np.ndarray:
-    """Physical points -> unit-box coordinates of an affine chart.
+def _box_coordinates(points: np.ndarray, domain: Domain, ci: float) -> np.ndarray:
+    """Physical points -> unit-box coordinates of a domain's affine chart.
 
-    ``amp`` holds the chart's CI amplitudes; inert directions (zero
-    amplitude) get coordinate zero.
+    The chart's amplitude along eigendirection j is ``ci * sqrt(lambda_j)``;
+    inert directions (``is_inert``) get coordinate zero.
     """
-    d = (points - mean) @ eigvecs
-    return np.divide(d, amp, out=np.zeros_like(d), where=amp > 0.0)
+    d = (points - domain.kernel.mean) @ domain.eigvecs
+    return np.divide(d, ci * np.sqrt(domain.eigvals), out=np.zeros_like(d),
+                     where=~is_inert(domain.eigvals))
 
 
 def _kernel_moments(domain: Domain, mapped: DAVector, kappa: float, ci: float):
@@ -325,8 +320,7 @@ def _kernel_moments(domain: Domain, mapped: DAVector, kappa: float, ci: float):
     """
     def through_map(kap):
         sigma = ut_sigma(domain.kernel, kap)
-        boxes = _box_coordinates(sigma.points, domain.kernel.mean, domain.eigvecs,
-                                 ci * np.sqrt(domain.eigvals))
+        boxes = _box_coordinates(sigma.points, domain, ci)
         return reconstruct_moments(mapped.eval_many(boxes), sigma.weights)
 
     mean, cov = through_map(kappa)
@@ -407,12 +401,12 @@ def _conversion_stage(scenario: Scenario, root: Domain, lib: SplitLibrary):
         eps_nu=scenario.conversion_eps_nu, library=lib,
         n_max=scenario.n_max, alpha_min=scenario.alpha_min, ci=scenario.ci,
     )
-    m_in, m_out = loads_gmm(conv_map, [root], cfg)
+    m_in, images = loads_gmm(conv_map, [root], cfg)
     kappa = scenario.ut_kappa if scenario.ut_kappa is not None else 3.0 - 6.0
     roots = []
     kernels = []
-    for dom, img in zip(m_in, m_out):
-        mean, cov, _ = _kernel_moments(dom, img.state, kappa, scenario.ci)
+    for dom, img in zip(m_in, images):
+        mean, cov, _ = _kernel_moments(dom, img, kappa, scenario.ci)
         roots.append(initial_domain(mean, cov, scenario.ci, weight=dom.weight))
         kernels.append(GaussianKernel(dom.weight, mean, cov))
     return roots, GaussianMixture(tuple(kernels)), m_in.stats.batch_fallbacks
@@ -479,11 +473,10 @@ def lf_stage(scenario: Scenario) -> LfStage:
         alpha_min=scenario.alpha_min, ci=scenario.ci,
     )
     tic = time.perf_counter()
-    inputs, images = loads_gmm(split_target, roots, cfg)
+    inputs, maps = loads_gmm(split_target, roots, cfg)
     timings["t_loads_s"] = time.perf_counter() - tic
     inputs.stats.batch_fallbacks += conversion_fallbacks
 
-    maps = [d.state for d in images]
     if eset.fast is not None:
         # keep every kernel's fast angle on the branch of the nominal image
         maps = [_rebranch_fast_angle(m, y_lead[_FAST].const) for m in maps]
@@ -623,7 +616,7 @@ def mc_reference(scenario: Scenario, n: int, seed: int | None = None,
 
 
 def _exact_assignment(inputs: Manifold, row: np.ndarray, kernels) -> int:
-    """Kernel of highest ``log weight + kernel_logpdf_support`` among ``kernels``.
+    """Kernel of highest ``kernel_logpdf_support`` score among ``kernels``.
 
     Scans in index order and replaces only on a strictly greater score, so
     ties go to the lowest index; kernel 0 when no score exceeds -inf.
@@ -631,7 +624,8 @@ def _exact_assignment(inputs: Manifold, row: np.ndarray, kernels) -> int:
     best, pick = -np.inf, 0
     for j in kernels:
         dom = inputs[j]
-        lr = math.log(dom.weight) + kernel_logpdf_support(dom.kernel, row)[0]
+        lr = kernel_logpdf_support(dom.weight, dom.kernel.mean, dom.eigvals, dom.eigvecs,
+                                   row)[0]
         if lr > best:
             best, pick = lr, int(j)
     return pick
@@ -680,9 +674,9 @@ def mf_sample_eval(result: MfResult, initial_samples: np.ndarray,
     """Evaluate initial samples through the per-kernel maps.
 
     Each sample goes to the kernel with the highest posterior responsibility
-    ``weight * N(sample; mean, cov)`` of the initial mixture, scored as
-    ``log weight + kernel_logpdf_support``; ties go to the lowest kernel
-    index.  It then goes through that kernel's polynomial -- no extra
+    ``weight * N(sample; mean, cov)`` of the initial mixture, scored by
+    ``kernel_logpdf_support`` from the domain's eigenpairs on its live
+    directions; ties go to the lowest kernel index.  It then goes through that kernel's polynomial -- no extra
     propagation involved.  The work runs on ``result.stacked``, a view of
     all kernels built once per result: one matrix product scores a block of
     samples against every kernel, a sample whose best score is within the rounding
@@ -706,8 +700,7 @@ def mf_sample_eval(result: MfResult, initial_samples: np.ndarray,
         segments = [(ks[lo], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
         boxes = np.empty_like(pts)
         for k, lo, hi in segments:
-            boxes[lo:hi] = _box_coordinates(pts[lo:hi], view.means[k], view.eigvecs[k],
-                                            view.amp[k])
+            boxes[lo:hi] = _box_coordinates(pts[lo:hi], result.inputs[k], result.scenario.ci)
         mono = ctx.monomial_values(boxes)
         for k, lo, hi in segments:
             pts[lo:hi] = mono[lo:hi] @ coeffs[k]

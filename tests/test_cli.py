@@ -267,6 +267,15 @@ class TestConfigHelpers:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fast", ["l", "banana"])
+    def test_unknown_fast_variable_exit_2(self, tiny_config, tmp_path, capsys, fast):
+        # only the documented "L" and "lambda" name a fast variable
+        code = main(["run", str(tiny_config), "--outdir", str(tmp_path / "out"),
+                     "--set", "elements.set=equinoctial",
+                     "--set", f"elements.fast_var={fast}"])
+        assert code == 2
+        assert repr(fast) in capsys.readouterr().err
+
     def test_config_hash_stable_and_sensitive(self):
         _, obj = load_scenario("leo")
         h1 = config_hash(obj)

@@ -249,6 +249,11 @@ class TestOrbitState:
             ElementSet.parse("cartesian", "L")
         with pytest.raises(ValueError):
             ElementSet.parse("mee")
+        assert ElementSet.parse("equinoctial", "L") == EQUINOCTIAL_L
+        assert ElementSet.parse("equinoctial", "lambda") == EQUINOCTIAL_LAM
+        for fast in ("l", "true", "banana"):
+            with pytest.raises(ValueError, match=repr(fast)):
+                ElementSet.parse("equinoctial", fast)
 
 
 class TestFrameTransform:
@@ -341,11 +346,13 @@ class TestConvertDaWithLoads:
         rv, _ = convert_values(kep, KEPLERIAN, CARTESIAN, MU)
         cov = np.diag([100.0**2, 100.0**2, 0.0, 1e-2, 1e-2, 0.0])
         dom = initial_domain(rv, cov, ci=3.0)
-        cfg = LoadsConfig(eps_nu=0.01, library=lib3, alpha_min=1e-4)
+        # one generation is enough to show the root splits: capped at n_max = 1
+        cfg = LoadsConfig(eps_nu=0.01, library=lib3, alpha_min=1e-4, n_max=1)
 
         def conv_map(state):
             out, _ = convert_values(list(state), CARTESIAN, EQUINOCTIAL_LAM, MU)
             return DAVector(out)
 
         m_in, _ = loads_gmm(conv_map, [dom], cfg)
-        assert len(m_in) > 1
+        assert m_in.stats.domains_per_generation == [1, 3]
+        assert len(m_in) == 3 and all(d.nsplits == 1 for d in m_in)

@@ -505,7 +505,7 @@ class TestSeveralRoots:
             assert got.history == ref.history and got.weight == ref.weight
             assert got.nli == ref.nli
         for got, ref in zip(m_out, lone_out):
-            np.testing.assert_array_equal(got.state[0].c, ref.state[0].c)
+            np.testing.assert_array_equal(got[0].c, ref[0].c)
         assert m_in.total_weight() == pytest.approx(1.0, abs=1e-15)
 
     def test_failure_names_root_and_history(self, lib3):

@@ -384,7 +384,7 @@ def loop_sample_eval(result, xs, use_lf=False):
     best = np.full(xs.shape[0], -np.inf)
     assign = np.zeros(xs.shape[0], dtype=np.intp)
     for j, dom in enumerate(result.inputs):
-        lr = math.log(dom.weight) + kernel_logpdf_support(dom.kernel, xs)
+        lr = kernel_logpdf_support(dom.weight, dom.kernel.mean, dom.eigvals, dom.eigvecs, xs)
         better = lr > best
         best[better] = lr[better]
         assign[better] = j
@@ -456,7 +456,7 @@ class TestStackedSampleEval:
         xs = spread_samples(multi_result, 200, seed=12)
         rescored = []
         monkeypatch.setattr(pipeline, "kernel_logpdf_support",
-                            lambda k, x: rescored.append(1) or kernel_logpdf_support(k, x))
+                            lambda *a: rescored.append(1) or kernel_logpdf_support(*a))
         assign = assert_matches_loop(res, xs)
         assert np.any(assign == 1) and not np.any(assign == 2)
         assert rescored  # ties run the exact re-check
@@ -472,7 +472,7 @@ class TestStackedSampleEval:
         xs = spread_samples(multi_result, 200, seed=13)
         rescored = []
         monkeypatch.setattr(pipeline, "kernel_logpdf_support",
-                            lambda k, x: rescored.append(1) or kernel_logpdf_support(k, x))
+                            lambda *a: rescored.append(1) or kernel_logpdf_support(*a))
         assign = assert_matches_loop(res, xs)
         assert np.any(assign == 2) and not np.any(assign == 1)
         assert len(rescored) >= 2 * np.count_nonzero(assign == 2)
