@@ -2,10 +2,8 @@
 
 A domain couples a polynomial state (the uncertainty set, always an affine
 function of the box variables on input) with its Gaussian kernel and the
-spectral factorization of the kernel covariance.  That factorization is the
-kernel's only one: the split loop, the box charts and the sample scoring all
-read it, and its eigenvalue is exactly 0.0 on an inert direction
-(``gmm.is_inert``), which is never split.  The engine evaluates the
+spectral factorization of the kernel covariance, whose eigenvalue is
+exactly 0.0 on an inert direction (``gmm.is_inert``).  The engine evaluates the
 target map on each queued domain, measures nonlinearity from the Taylor
 expansion of the map Jacobian, re-normalized by the current kernel's
 one-sigma-times-CI amplitudes, and when the index exceeds the threshold

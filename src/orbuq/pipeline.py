@@ -228,14 +228,16 @@ class StackedKernels:
 
     ``score`` and ``score_abs`` are the ``(G, H)`` pair of
     ``logpdf_quadratic_forms`` about ``centre``, the weighted mean of the
-    kernel means, built from each domain's eigenpairs; ``coeffs_lf`` and
-    ``coeffs_mf`` hold the coefficients of every kernel's LF and MF maps
-    (monomial by output component).
+    kernel means, built from each domain's eigenpairs; ``eigvals`` stacks
+    the domains' eigenvalues, and ``coeffs_lf`` and ``coeffs_mf`` hold the
+    coefficients of every kernel's LF and MF maps (monomial by output
+    component).
     """
 
     centre: np.ndarray       # (d,)
     score: np.ndarray        # (K, 28)
     score_abs: np.ndarray    # (K, 28)
+    eigvals: np.ndarray      # (K, d)
     coeffs_lf: np.ndarray    # (K, M, d)
     coeffs_mf: np.ndarray    # (K, M, d)
 
@@ -245,14 +247,14 @@ class StackedKernels:
         weights = np.array([dom.weight for dom in inputs])
         means = np.array([dom.kernel.mean for dom in inputs])
         centre = weights @ means / weights.sum()
+        eigvals = np.array([dom.eigvals for dom in inputs])
         score, score_abs = logpdf_quadratic_forms(
-            weights, means, np.array([dom.eigvals for dom in inputs]),
-            np.array([dom.eigvecs for dom in inputs]), centre)
+            weights, means, eigvals, np.array([dom.eigvecs for dom in inputs]), centre)
 
         def coeffs(maps):
             return np.array([np.stack([p.c for p in mp], axis=1) for mp in maps])
 
-        return cls(centre=centre, score=score, score_abs=score_abs,
+        return cls(centre=centre, score=score, score_abs=score_abs, eigvals=eigvals,
                    coeffs_lf=coeffs(maps_lf), coeffs_mf=coeffs(maps_mf))
 
 
@@ -301,15 +303,15 @@ def _rows_from_cartesian(rows: np.ndarray, eset: ElementSet, mu: float,
     return out
 
 
-def _box_coordinates(points: np.ndarray, domain: Domain, ci: float) -> np.ndarray:
-    """Physical points -> unit-box coordinates of a domain's affine chart.
+def _box_coordinates(offsets: np.ndarray, eigvals: np.ndarray, ci: float) -> np.ndarray:
+    """Offsets from a domain's mean along its eigenvectors -> unit-box coordinates.
 
     The chart's amplitude along eigendirection j is ``ci * sqrt(lambda_j)``;
-    inert directions (``is_inert``) get coordinate zero.
+    inert directions (``is_inert``) get coordinate zero.  ``eigvals`` is
+    one domain's, or one row of eigenvalues per offset row.
     """
-    d = (points - domain.kernel.mean) @ domain.eigvecs
-    return np.divide(d, ci * np.sqrt(domain.eigvals), out=np.zeros_like(d),
-                     where=~is_inert(domain.eigvals))
+    return np.divide(offsets, ci * np.sqrt(eigvals), out=np.zeros_like(offsets),
+                     where=~is_inert(eigvals))
 
 
 def _kernel_moments(domain: Domain, mapped: DAVector, kappa: float, ci: float):
@@ -320,7 +322,8 @@ def _kernel_moments(domain: Domain, mapped: DAVector, kappa: float, ci: float):
     """
     def through_map(kap):
         sigma = ut_sigma(domain.kernel, kap)
-        boxes = _box_coordinates(sigma.points, domain, ci)
+        offsets = (sigma.points - domain.kernel.mean) @ domain.eigvecs
+        boxes = _box_coordinates(offsets, domain.eigvals, ci)
         return reconstruct_moments(mapped.eval_many(boxes), sigma.weights)
 
     mean, cov = through_map(kappa)
@@ -676,8 +679,8 @@ def mf_sample_eval(result: MfResult, initial_samples: np.ndarray,
     Each sample goes to the kernel with the highest posterior responsibility
     ``weight * N(sample; mean, cov)`` of the initial mixture, scored by
     ``kernel_logpdf_support`` from the domain's eigenpairs on its live
-    directions; ties go to the lowest kernel index.  It then goes through that kernel's polynomial -- no extra
-    propagation involved.  The work runs on ``result.stacked``, a view of
+    directions; ties go to the lowest kernel index.  It then goes through
+    that kernel's polynomial -- no extra propagation involved.  The work runs on ``result.stacked``, a view of
     all kernels built once per result: one matrix product scores a block of
     samples against every kernel, a sample whose best score is within the rounding
     bound of another is re-scored exactly, kernel by kernel, and samples
@@ -698,10 +701,12 @@ def mf_sample_eval(result: MfResult, initial_samples: np.ndarray,
         ks = assign[idx]
         cuts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1), idx.size]
         segments = [(ks[lo], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        boxes = np.empty_like(pts)
+        offsets = np.empty_like(pts)
         for k, lo, hi in segments:
-            boxes[lo:hi] = _box_coordinates(pts[lo:hi], result.inputs[k], result.scenario.ci)
-        mono = ctx.monomial_values(boxes)
+            dom = result.inputs[k]
+            offsets[lo:hi] = (pts[lo:hi] - dom.kernel.mean) @ dom.eigvecs
+        mono = ctx.monomial_values(
+            _box_coordinates(offsets, view.eigvals[ks], result.scenario.ci))
         for k, lo, hi in segments:
             pts[lo:hi] = mono[lo:hi] @ coeffs[k]
         out[idx] = pts

@@ -478,8 +478,8 @@ class TestStackedSampleEval:
         assert len(rescored) >= 2 * np.count_nonzero(assign == 2)
 
     def test_inert_directions(self, multi_result):
-        # z and vz exactly inert in every kernel: scored on the regular
-        # subspace, zero box coordinates along the inert directions
+        # z and vz exactly inert in every kernel: scored on the live
+        # directions, zero box coordinates along the inert ones
         kernels = {}
         for i, dom in enumerate(multi_result.inputs):
             cov = dom.kernel.cov.copy()
