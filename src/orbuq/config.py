@@ -68,7 +68,6 @@ def scenario_from_dict(obj: dict) -> Scenario:
         third_body_moon=_get(obj, "hf.third_body_moon", True),
         drag=_get(obj, "hf.drag", False),
         srp=_get(obj, "hf.srp", True),
-        drag_bulge_exponent=_get(obj, "hf.drag_bulge_exponent"),
         gravity_path=_get(obj, "hf.gravity_path"),
     )
     integrator = IntegratorConfig(
@@ -92,7 +91,6 @@ def scenario_from_dict(obj: dict) -> Scenario:
         ci=_get(obj, "loads.ci", 3.0),
         n_max=_get(obj, "loads.n_max", 20),
         alpha_min=_get(obj, "loads.alpha_min", 1e-8),
-        conversion_eps_nu=_get(obj, "loads.conversion_eps_nu", 0.01),
         lf_theory=_get(obj, "lf.theory", "sgp4"),
         lf_j2=_get(obj, "lf.j2"),
         shift_mode=_get(obj, "shift.mode", "osculating"),
@@ -100,7 +98,6 @@ def scenario_from_dict(obj: dict) -> Scenario:
         force=force,
         integrator=integrator,
         spacecraft=spacecraft,
-        ut_kappa=_get(obj, "ut.kappa"),
     )
 
 
@@ -120,12 +117,10 @@ def scenario_to_dict(s: Scenario) -> dict:
             "ci": s.ci,
             "n_max": s.n_max,
             "alpha_min": s.alpha_min,
-            "conversion_eps_nu": s.conversion_eps_nu,
         },
         "lf": {"theory": s.lf_theory, "j2": s.lf_j2},
         "shift": {"mode": s.shift_mode},
         "seed": s.seed,
-        "ut": {"kappa": s.ut_kappa},
         "hf": {
             "mu": s.force.mu,
             "re_km": s.force.re_km,
@@ -135,7 +130,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "third_body_moon": s.force.third_body_moon,
             "drag": s.force.drag,
             "srp": s.force.srp,
-            "drag_bulge_exponent": s.force.drag_bulge_exponent,
             "gravity_path": s.force.gravity_path,
             "abs_tol": s.integrator.abs_tol,
             "rel_tol": s.integrator.rel_tol,

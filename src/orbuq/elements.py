@@ -15,7 +15,7 @@ caller converts them one at a time.  Cartesian extraction of the equinoctial
 family avoids materializing singular Keplerian angles: exactly-circular and
 exactly-equatorial orbits convert cleanly.  Keplerian extraction falls back
 to zero-angle conventions below ``e < 1e-10`` or ``sin(i) < 1e-10`` and
-reports the convention through ``OrbitState.flags``.
+reports the convention in the flags that ``convert_values`` returns.
 
 Angles move through these routines unwrapped (branch restored near the source
 value where a revolution count exists); wrap only when serializing.
@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .generic import atan2, branch, cons, cos, cross3, dot3, each, is_poly, norm3, sin, sqrt
 
 __all__ = [
-    "ElemKind", "FastVar", "ElementSet", "OrbitState", "FrameModel",
-    "kepler_solve", "kepler_equinoctial_solve", "convert", "convert_values",
-    "frame_transform", "rebranch_near", "wrap_angle",
+    "ElemKind", "FastVar", "ElementSet",
+    "kepler_solve", "kepler_equinoctial_solve", "convert_values", "rebranch_near",
     "CARTESIAN", "KEPLERIAN", "EQUINOCTIAL_L", "EQUINOCTIAL_LAM",
     "MEE_L", "MEE_LAM", "ALTERNATE_L", "ALTERNATE_LAM",
 ]
@@ -87,46 +86,6 @@ MEE_L = ElementSet(ElemKind.MEE, FastVar.TRUE_LONGITUDE)
 MEE_LAM = ElementSet(ElemKind.MEE, FastVar.MEAN_LONGITUDE)
 ALTERNATE_L = ElementSet(ElemKind.ALTERNATE, FastVar.TRUE_LONGITUDE)
 ALTERNATE_LAM = ElementSet(ElemKind.ALTERNATE, FastVar.MEAN_LONGITUDE)
-
-
-@dataclass
-class OrbitState:
-    """Six element values over the algebra, plus epoch (s) and mu (km^3/s^2)."""
-
-    elements: ElementSet
-    epoch: float
-    values: list
-    mu: float
-    flags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if len(self.values) != 6:
-            raise ValueError("orbit state needs exactly 6 values")
-        self.values = list(self.values)
-
-    def constant_values(self) -> np.ndarray:
-        return np.array([cons(v) for v in self.values], dtype=np.float64)
-
-    def to_json_obj(self) -> dict:
-        vals = self.constant_values()
-        out = vals.copy()
-        # wrap stored angles only at serialization time
-        if self.elements.kind == ElemKind.KEPLERIAN:
-            out[3:6] = [wrap_angle(v) for v in vals[3:6]]
-        elif self.elements.fast is not None:
-            out[5] = wrap_angle(vals[5])
-        return {
-            "set": self.elements.kind.value,
-            "fast_variable": self.elements.fast.value if self.elements.fast else None,
-            "epoch_s": self.epoch,
-            "values": out.tolist(),
-            "mu": self.mu,
-        }
-
-
-def wrap_angle(x: float) -> float:
-    """Wrap to [0, 2*pi)."""
-    return float(np.mod(x, 2.0 * math.pi))
 
 
 def rebranch_near(angle, ref):
@@ -427,17 +386,18 @@ def _to_cart_values(vals, src: ElementSet, mu):
     if kind == ElemKind.KEPLERIAN:
         return kep_to_cart(vals, mu)
     a_like, f, g, h, k, fast = vals
-    if kind == ElemKind.EQUINOCTIAL:
-        a = a_like
-    elif kind == ElemKind.MEE:
-        a = a_like / (1.0 - f * f - g * g)
-    else:  # ALTERNATE: mean motion n
-        a = _a_from_n(a_like, mu)
-    return eqx_to_cart([a, f, g, h, k, fast], mu, src.fast)
+    return eqx_to_cart([_semimajor_axis(a_like, f, g, kind, mu), f, g, h, k, fast],
+                       mu, src.fast)
 
 
-def _a_from_n(n, mu):
-    return (mu / (n * n)) ** (1.0 / 3.0)
+def _semimajor_axis(a_like, f, g, kind: ElemKind, mu):
+    """Semimajor axis from the first element of an equinoctial-family set:
+    ``a`` (equinoctial), ``p`` (MEE) or the mean motion ``n`` (alternate)."""
+    if kind == ElemKind.MEE:
+        return a_like / (1.0 - f * f - g * g)
+    if kind == ElemKind.ALTERNATE:
+        return (mu / (a_like * a_like)) ** (1.0 / 3.0)
+    return a_like
 
 
 def _from_cart_values(rv, dst: ElementSet, mu):
@@ -460,13 +420,8 @@ def _from_cart_values(rv, dst: ElementSet, mu):
 def _swap_fast_variable(vals, kind: ElemKind, src_fast: FastVar, dst_fast: FastVar, mu):
     """lam <-> L within one equinoctial-family set, without a cartesian round trip."""
     a_like, f, g, h, k, fast = vals
-    if kind == ElemKind.MEE:
-        a = a_like / (1.0 - f * f - g * g)
-    elif kind == ElemKind.ALTERNATE:
-        a = _a_from_n(a_like, mu)
-    else:
-        a = a_like
     if src_fast is FastVar.MEAN_LONGITUDE:
+        a = _semimajor_axis(a_like, f, g, kind, mu)
         big_f = kepler_equinoctial_solve(fast, f, g)
         cf, sf = cos(big_f), sin(big_f)
         e2 = f * f + g * g
@@ -489,7 +444,11 @@ def _swap_fast_variable(vals, kind: ElemKind, src_fast: FastVar, dst_fast: FastV
 
 
 def convert_values(vals, src: ElementSet, dst: ElementSet, mu):
-    """Convert a raw 6-list between element sets (epoch-free core)."""
+    """Convert six element values between sets: returns (values, flags).
+
+    The values may be floats, float columns or polynomials (see the module
+    docstring); the flags name any singular-angle convention applied.
+    """
     if src == dst:
         return list(vals), ()
     same_family = (
@@ -500,61 +459,3 @@ def convert_values(vals, src: ElementSet, dst: ElementSet, mu):
         return _swap_fast_variable(vals, src.kind, src.fast, dst.fast, mu), ()
     rv = _to_cart_values(vals, src, mu)
     return _from_cart_values(rv, dst, mu)
-
-
-def convert(state: OrbitState, target: ElementSet) -> OrbitState:
-    """Convert an orbit state to another element set; epoch and mu unchanged."""
-    vals, flags = convert_values(state.values, state.elements, target, state.mu)
-    return OrbitState(target, state.epoch, vals, state.mu, state.flags + flags)
-
-
-# -- frame transformations -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrameModel:
-    """Rotation between the working inertial frame and a theory's native frame.
-
-    The default identity model keeps low- and high-fidelity dynamics in one
-    self-consistent frame; supply a rotation matrix to plug in an external
-    precession/nutation model.
-    """
-
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    name: str = "identity"
-
-    def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        if rot.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if np.abs(rot @ rot.T - np.eye(3)).max() > 1e-14:
-            raise ValueError("rotation must be orthonormal to 1e-14")
-        object.__setattr__(self, "rotation", rot)
-
-    @property
-    def is_identity(self) -> bool:
-        return np.array_equal(self.rotation, np.eye(3))
-
-    def to_theory(self, values, inverse: bool = False) -> list:
-        """Cartesian 6-vector into the theory frame, or out of it if ``inverse``.
-
-        Floats and polynomials alike; the identity model returns the values
-        unchanged.
-        """
-        if self.is_identity:
-            return list(values)
-        mat = self.rotation.T if inverse else self.rotation
-        return [
-            mat[i, 0] * values[k] + mat[i, 1] * values[k + 1] + mat[i, 2] * values[k + 2]
-            for k in (0, 3) for i in range(3)
-        ]
-
-
-def frame_transform(state: OrbitState, direction: str, model: FrameModel) -> OrbitState:
-    """Rotate a cartesian state to ('to_teme') or from ('from_teme') the theory frame."""
-    if state.elements.kind != ElemKind.CARTESIAN:
-        raise ValueError("frame transformations apply to cartesian states")
-    if direction not in ("to_teme", "from_teme"):
-        raise ValueError(f"unknown direction {direction!r}")
-    values = model.to_theory(state.values, inverse=direction == "from_teme")
-    return OrbitState(state.elements, state.epoch, values, state.mu, state.flags)

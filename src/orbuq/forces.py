@@ -74,7 +74,6 @@ class ForceConfig:
     third_body_moon: bool = True
     drag: bool = False
     srp: bool = True
-    drag_bulge_exponent: float | None = None  # None: derive from inclination
     gravity_path: str | None = None           # None: bundled 8x8 field
 
     def __post_init__(self):
@@ -471,17 +470,14 @@ def drag_acceleration(sun, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
     cos_psi = (r3[0] * bx + r3[1] * by + r3[2] * bz) / rmag
     cos_half_sq = 0.5 * (1.0 + cos_psi)
 
-    if cfg.drag_bulge_exponent is not None:
-        n_exp = cfg.drag_bulge_exponent
-    else:
-        # inclination-dependent exponent, 2 (equatorial) to 6 (polar),
-        # evaluated per sample so batched trajectories stay independent
-        hvec = cross3([cons(r3[0]), cons(r3[1]), cons(r3[2])],
-                      [cons(v3[0]), cons(v3[1]), cons(v3[2])])
-        hnorm = np.sqrt(hvec[0] ** 2 + hvec[1] ** 2 + hvec[2] ** 2)
-        inc = np.arccos(np.clip(hvec[2] / hnorm, -1.0, 1.0))
-        inc = np.minimum(inc, math.pi - inc)
-        n_exp = 2.0 + 4.0 * inc / (0.5 * math.pi)
+    # inclination-dependent exponent, 2 (equatorial) to 6 (polar),
+    # evaluated per sample so batched trajectories stay independent
+    hvec = cross3([cons(r3[0]), cons(r3[1]), cons(r3[2])],
+                  [cons(v3[0]), cons(v3[1]), cons(v3[2])])
+    hnorm = np.sqrt(hvec[0] ** 2 + hvec[1] ** 2 + hvec[2] ** 2)
+    inc = np.arccos(np.clip(hvec[2] / hnorm, -1.0, 1.0))
+    inc = np.minimum(inc, math.pi - inc)
+    n_exp = 2.0 + 4.0 * inc / (0.5 * math.pi)
 
     rho = harris_priester_density(h_km, cos_half_sq, n_exp)
 

@@ -32,7 +32,6 @@ arrays and object arrays of polynomials:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -114,7 +113,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     min_step: float = 1e-8     # s
-    max_step: float = math.inf
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -136,7 +134,7 @@ def _initial_step(f, t0, y, f0, direction, cfg):
         # exponent 1 / (p + 1) for the order p = 8 of the propagating solution
         h1 = np.where(dm <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(dm, 1e-300)) ** (1.0 / 9.0))
-        h = np.minimum(100.0 * h0, np.minimum(h1, cfg.max_step))
+        h = np.minimum(100.0 * h0, h1)
     return np.where(np.isfinite(h) & (h > 0.0), h, np.maximum(cfg.min_step, 1e-6))
 
 
@@ -215,7 +213,7 @@ def _adaptive(f: Callable, t0: float, y: np.ndarray, t_end: float,
         y[acc_idx] = y_new[accept]
         t[acc_idx] = t_new[accept]
         fsal[acc_idx] = ks[-1][accept]
-        h[idx] = np.minimum(ha * factor, cfg.max_step)
+        h[idx] = ha * factor
         active[idx[accept & lands]] = False
 
 

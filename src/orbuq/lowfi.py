@@ -1,7 +1,7 @@
 """Low-fidelity analytical theories and the osculating-to-mean inversion.
 
-A theory owns a mean-element space, a native frame and a gravitational
-parameter, and exposes a single propagation map from mean elements at epoch to
+A theory owns a mean-element space and a gravitational parameter, and
+exposes a single propagation map from mean elements at epoch to
 an osculating cartesian state at any requested time.  Two theories ship:
 
 * ``KeplerJ2Theory`` - two-body motion plus first-order J2 secular drift,
@@ -33,7 +33,6 @@ from .elements import (
     CARTESIAN,
     ElementSet,
     EQUINOCTIAL_LAM,
-    FrameModel,
     KEPLERIAN,
     convert_values,
 )
@@ -79,14 +78,11 @@ class KeplerJ2Theory:
     name = "kepler_j2"
     mean_set: ElementSet = EQUINOCTIAL_LAM
     angle_indices = (5,)
+    re_km = 6378.1363  # equatorial radius that scales J2
 
-    def __init__(self, mu: float = 398600.4355, j2: float = 1.08262668e-3,
-                 re_km: float = 6378.1363,
-                 frame: FrameModel | None = None):
+    def __init__(self, mu: float = 398600.4355, j2: float = 1.08262668e-3):
         self.mu = mu
         self.j2 = j2
-        self.re_km = re_km
-        self.frame = frame or FrameModel()
 
     def secular_rates(self, a, f, g, h, k):
         """(raan_dot, argp_dot, mean_anomaly_dot) for the mean elements."""
@@ -103,7 +99,7 @@ class KeplerJ2Theory:
         return raan_dot, argp_dot, m_dot
 
     def propagate_mean(self, mean: MeanElements, t_s: float):
-        """Osculating-equals-mean cartesian state at t_s (native frame)."""
+        """Osculating-equals-mean cartesian state at t_s."""
         a, f, g, h, k, lam = mean.values
         dt = t_s - mean.epoch_s
         raan_dot, argp_dot, m_dot = self.secular_rates(a, f, g, h, k)
@@ -140,12 +136,10 @@ class Sgp4Theory:
     mean_set: ElementSet = KEPLERIAN
     angle_indices = (3, 4, 5)
 
-    def __init__(self, grav: GravityConstants = WGS72, bstar: float = 0.0,
-                 frame: FrameModel | None = None):
+    def __init__(self, grav: GravityConstants = WGS72, bstar: float = 0.0):
         self.grav = grav
         self.mu = grav.mu
         self.bstar = bstar
-        self.frame = frame or FrameModel()
 
     def _model(self, values, bstar=None):
         a, ecc, incl, node, argp, mo = values
@@ -241,21 +235,18 @@ def osc_to_mean(theory, epoch_s: float, cart_values, eps_max: float = 1e-10,
     )
 
 
-def lf_target(theory, t0_s: float, t_s: float, element_set: ElementSet, mu: float,
-              eps_max: float = 1e-10, i_max: int = 50):
+def lf_target(theory, t0_s: float, t_s: float, element_set: ElementSet, mu: float):
     """Map osculating elements at t0 to osculating elements at t through a theory.
 
-    The returned callable converts to cartesian, rotates into the theory's
-    native frame, inverts to mean elements at t0, propagates to t, rotates
-    back and re-extracts elements.  It accepts a DAVector or a plain 6-sequence.
+    The returned callable converts to cartesian, inverts to mean elements at
+    t0, propagates to t and re-extracts elements.  It accepts a DAVector or a
+    plain 6-sequence.
     """
-    frame = theory.frame
 
     def target(state):
         cart, _ = convert_values(list(state), element_set, CARTESIAN, mu)
-        mean = osc_to_mean(theory, t0_s, frame.to_theory(cart), eps_max=eps_max, i_max=i_max)
-        cart_t = frame.to_theory(theory.propagate_mean(mean, t_s), inverse=True)
-        out, _ = convert_values(cart_t, CARTESIAN, element_set, mu)
+        mean = osc_to_mean(theory, t0_s, cart)
+        out, _ = convert_values(theory.propagate_mean(mean, t_s), CARTESIAN, element_set, mu)
         if isinstance(state, DAVector):
             return DAVector(out)
         return out

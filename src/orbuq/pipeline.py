@@ -42,7 +42,6 @@ from .elements import (
     CARTESIAN,
     ElementSet,
     ElemKind,
-    FrameModel,
     KEPLERIAN,
     convert_values,
     rebranch_near,
@@ -92,6 +91,7 @@ __all__ = [
 _DEG = math.pi / 180.0
 _FAST = 5  # position of the fast angle in a non-cartesian element set
 _CHUNK = 4096  # fixed batch partition: results never depend on thread count
+_CONVERSION_EPS_NU = 0.01  # split threshold of the element-set conversion stage
 _BLOCK_ENTRIES = 2**16  # cap on the entries of each mf_sample_eval work array
 # Rounding bound of a stacked score, in units of eps * (|F| @ H.T) (see
 # logpdf_quadratic_forms).  To first order the score GEMM and its inputs err
@@ -117,7 +117,6 @@ class Scenario:
     ci: float = 3.0
     n_max: int = 20
     alpha_min: float = 1e-8
-    conversion_eps_nu: float = 0.01
     lf_theory: str = "sgp4"
     lf_j2: float | None = None     # kepler_j2 theory only; None keeps the default
     shift_mode: str = "osculating"
@@ -125,7 +124,6 @@ class Scenario:
     force: ForceConfig = field(default_factory=ForceConfig)
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     spacecraft: SpacecraftParams = field(default_factory=SpacecraftParams)
-    ut_kappa: float | None = None         # None: 3 - n
     library: SplitLibrary = DEFAULT_LIBRARY
 
     def __post_init__(self):
@@ -169,10 +167,10 @@ class Scenario:
 
 def make_theory(scenario: Scenario):
     if scenario.lf_theory == "sgp4":
-        return Sgp4Theory(grav=WGS72, frame=FrameModel())
+        return Sgp4Theory(grav=WGS72)
     if scenario.lf_j2 is not None:
-        return KeplerJ2Theory(mu=scenario.mu, j2=scenario.lf_j2, frame=FrameModel())
-    return KeplerJ2Theory(mu=scenario.mu, frame=FrameModel())
+        return KeplerJ2Theory(mu=scenario.mu, j2=scenario.lf_j2)
+    return KeplerJ2Theory(mu=scenario.mu)
 
 
 @dataclass(frozen=True)
@@ -314,11 +312,12 @@ def _box_coordinates(offsets: np.ndarray, eigvals: np.ndarray, ci: float) -> np.
                      where=~is_inert(eigvals))
 
 
-def _kernel_moments(domain: Domain, mapped: DAVector, kappa: float, ci: float):
+def _kernel_moments(domain: Domain, mapped: DAVector, ci: float):
     """Unscented moments of one kernel pushed through its Taylor map.
 
-    A covariance that is not PSD is recomputed with kappa = 0; the result is
-    then clamped PSD and symmetrised.  Returns (mean, cov, fell_back).
+    The spread is kappa = 3 - n.  A covariance that is not PSD is recomputed
+    with kappa = 0; the result is then clamped PSD and symmetrised.  Returns
+    (mean, cov, fell_back).
     """
     def through_map(kap):
         sigma = ut_sigma(domain.kernel, kap)
@@ -326,7 +325,7 @@ def _kernel_moments(domain: Domain, mapped: DAVector, kappa: float, ci: float):
         boxes = _box_coordinates(offsets, domain.eigvals, ci)
         return reconstruct_moments(mapped.eval_many(boxes), sigma.weights)
 
-    mean, cov = through_map(kappa)
+    mean, cov = through_map(3.0 - len(domain.kernel.mean))
     lam = np.linalg.eigvalsh(0.5 * (cov + cov.T))
     fell_back = not lam.min() >= -1e-12 * max(lam.max(), 1.0)
     if fell_back:
@@ -336,12 +335,12 @@ def _kernel_moments(domain: Domain, mapped: DAVector, kappa: float, ci: float):
     return mean, 0.5 * (cov + cov.T), fell_back
 
 
-def _mixture_from_maps(inputs: Manifold, maps: Sequence[DAVector], ci: float,
-                       kappa_default: float) -> tuple[GaussianMixture, list[int]]:
+def _mixture_from_maps(inputs: Manifold, maps: Sequence[DAVector],
+                       ci: float) -> tuple[GaussianMixture, list[int]]:
     kernels = []
     fallback = []
     for i, (dom, mp) in enumerate(zip(inputs, maps)):
-        mean, cov, fell_back = _kernel_moments(dom, mp, kappa_default, ci)
+        mean, cov, fell_back = _kernel_moments(dom, mp, ci)
         if fell_back:
             fallback.append(i)
         kernels.append(GaussianKernel(dom.weight, mean, cov))
@@ -363,31 +362,27 @@ def _replace_constant(mapped: DAVector, new_const: np.ndarray) -> DAVector:
 
 
 def shift_tle(theory, t1_s: float, mu_hf_set: np.ndarray, lf_map_set: DAVector,
-              element_set: ElementSet, mu: float,
-              eps_max: float = 1e-10, i_max: int = 50) -> DAVector:
+              element_set: ElementSet, mu: float) -> DAVector:
     """Constant-part replacement routed through the theory's mean-element space.
 
-    Both the high-fidelity mean and the low-fidelity polynomial transform to
-    the theory frame, invert to mean elements at the final epoch, recombine
+    Both the high-fidelity mean and the low-fidelity polynomial convert to
+    cartesian, invert to mean elements at the final epoch, recombine
     (high-fidelity constants, low-fidelity deviations), and map back through a
     zero-length theory propagation.  A stacked map takes ``mu_hf_set`` as
     (6, B) columns, one per member.
     """
-    frame = theory.frame
     cart_map, _ = convert_values(list(lf_map_set), element_set, CARTESIAN, mu)
-    mean_map = osc_to_mean(theory, t1_s, frame.to_theory(cart_map), eps_max=eps_max,
-                           i_max=i_max)
+    mean_map = osc_to_mean(theory, t1_s, cart_map)
     mu_cart, _ = convert_values(list(mu_hf_set), element_set, CARTESIAN, mu)
-    mean_hf = osc_to_mean(theory, t1_s, frame.to_theory(mu_cart), eps_max=eps_max,
-                          i_max=i_max)
+    mean_hf = osc_to_mean(theory, t1_s, mu_cart)
 
     shifted_mean = MeanElements(
         theory.name, t1_s,
         [p - p.const + c for p, c in zip(mean_map.values, mean_hf.constant_values())],
         bstar=mean_map.bstar,
     )
-    teme = theory.propagate_mean(shifted_mean, t1_s)
-    out, _ = convert_values(frame.to_theory(teme, inverse=True), CARTESIAN, element_set, mu)
+    out, _ = convert_values(theory.propagate_mean(shifted_mean, t1_s), CARTESIAN,
+                            element_set, mu)
     return DAVector(out)
 
 
@@ -401,15 +396,14 @@ def _conversion_stage(scenario: Scenario, root: Domain, lib: SplitLibrary):
         return DAVector(out)
 
     cfg = LoadsConfig(
-        eps_nu=scenario.conversion_eps_nu, library=lib,
+        eps_nu=_CONVERSION_EPS_NU, library=lib,
         n_max=scenario.n_max, alpha_min=scenario.alpha_min, ci=scenario.ci,
     )
     m_in, images = loads_gmm(conv_map, [root], cfg)
-    kappa = scenario.ut_kappa if scenario.ut_kappa is not None else 3.0 - 6.0
     roots = []
     kernels = []
     for dom, img in zip(m_in, images):
-        mean, cov, _ = _kernel_moments(dom, img, kappa, scenario.ci)
+        mean, cov, _ = _kernel_moments(dom, img, scenario.ci)
         roots.append(initial_domain(mean, cov, scenario.ci, weight=dom.weight))
         kernels.append(GaussianKernel(dom.weight, mean, cov))
     return roots, GaussianMixture(tuple(kernels)), m_in.stats.batch_fallbacks
@@ -545,10 +539,9 @@ def mf_propagate(scenario: Scenario, threads: int = 1,
         stats.batch_fallbacks += shift_stats.batch_fallbacks
     timings["t_shift_s"] = time.perf_counter() - tic
 
-    kappa = scenario.ut_kappa if scenario.ut_kappa is not None else 3.0 - 6.0
     tic = time.perf_counter()
-    mixture_lf, fb_lf = _mixture_from_maps(inputs, all_maps, scenario.ci, kappa)
-    mixture_mf, fb_mf = _mixture_from_maps(inputs, maps_mf, scenario.ci, kappa)
+    mixture_lf, fb_lf = _mixture_from_maps(inputs, all_maps, scenario.ci)
+    mixture_mf, fb_mf = _mixture_from_maps(inputs, maps_mf, scenario.ci)
     timings["t_moments_s"] = time.perf_counter() - tic
     timings["t_total_s"] = time.perf_counter() - t_wall
 

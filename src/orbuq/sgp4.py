@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .generic import absval, atan2, branch, cons, cos, each, is_poly, sin, sqrt
 from .timeutil import jday_from_civil
 
-__all__ = ["GravityConstants", "WGS72", "WGS84", "Sgp4", "Sgp4Error",
+__all__ = ["GravityConstants", "WGS72", "Sgp4", "Sgp4Error",
            "TleRecord", "parse_tle", "format_tle"]
 
 TWOPI = 2.0 * math.pi
@@ -58,15 +58,6 @@ WGS72 = GravityConstants(
     j2=0.001082616,
     j3=-0.00000253881,
     j4=-0.00000165597,
-)
-
-WGS84 = GravityConstants(
-    mu=398600.5,
-    radiusearthkm=6378.137,
-    xke=60.0 / math.sqrt(6378.137**3 / 398600.5),
-    j2=0.00108262998905,
-    j3=-0.00000253215306,
-    j4=-0.00000161098761,
 )
 
 

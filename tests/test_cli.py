@@ -256,9 +256,12 @@ class TestConfigHelpers:
         assert back["loads"]["eps_nu"] == obj["loads"]["eps_nu"]
         assert scenario_from_dict(back) == scenario
 
-    @pytest.mark.parametrize("item", ["loads.epsnu=0.5", 'hf.tableau="dp5"', "library.L=3"])
+    @pytest.mark.parametrize("item", [
+        "loads.epsnu=0.5", 'hf.tableau="dp5"', "library.L=3", "ut.kappa=0",
+        "loads.conversion_eps_nu=0.02", "hf.drag_bulge_exponent=4",
+    ])
     def test_unknown_key_exit_2(self, tiny_config, tmp_path, capsys, item):
-        # a misspelt key, the removed hf.tableau and the removed library.L
+        # a misspelt key, then keys that were removed
         key = item.partition("=")[0]
         with pytest.raises(ValueError, match=re.escape(key)):
             load_scenario(str(tiny_config), [item])

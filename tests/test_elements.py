@@ -1,4 +1,4 @@
-"""Element conversions, Kepler solvers and frame transforms."""
+"""Element conversions and Kepler solvers."""
 
 import math
 
@@ -13,17 +13,12 @@ from orbuq.elements import (
     EQUINOCTIAL_L,
     EQUINOCTIAL_LAM,
     FastVar,
-    FrameModel,
     KEPLERIAN,
     MEE_L,
     MEE_LAM,
-    OrbitState,
-    convert,
     convert_values,
-    frame_transform,
     kepler_equinoctial_solve,
     kepler_solve,
-    wrap_angle,
 )
 from orbuq.generic import cons
 from orbuq.loads import LoadsConfig, initial_domain
@@ -104,6 +99,14 @@ class TestConversions:
         assert abs(vals[3]) < 1e-12 and abs(vals[4]) < 1e-12
         assert abs(vals[5]) < 1e-12                       # lam = raan + w + M
 
+    def test_mee_definitions_from_keplerian(self):
+        a, e, i, raan, argp, man = kep = [12000.0, 0.2, 0.4, 0.1, 0.2, 0.3]
+        vals, flags = convert_values(kep, KEPLERIAN, MEE_L, MU)
+        assert flags == ()
+        assert vals[0] == pytest.approx(a * (1 - e * e), rel=1e-12)   # p
+        assert vals[1] == pytest.approx(e * math.cos(argp + raan), abs=1e-12)
+        assert vals[2] == pytest.approx(e * math.sin(argp + raan), abs=1e-12)
+
     def test_equinoctial_definitions_from_keplerian(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -114,9 +117,8 @@ class TestConversions:
             assert vals[2] == pytest.approx(e * math.sin(argp + raan), abs=1e-12)
             assert vals[3] == pytest.approx(math.tan(i / 2) * math.cos(raan), abs=1e-12)
             assert vals[4] == pytest.approx(math.tan(i / 2) * math.sin(raan), abs=1e-12)
-            assert wrap_angle(vals[5]) == pytest.approx(
-                wrap_angle(raan + argp + man), abs=1e-10
-            )
+            lam_err = math.remainder(vals[5] - (raan + argp + man), 2 * math.pi)
+            assert lam_err == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("target", ALL_NONCART, ids=lambda s: s.label())
     def test_roundtrip_1000_random_orbits(self, target):
@@ -229,21 +231,7 @@ class TestConversions:
             convert_values(rv, CARTESIAN, EQUINOCTIAL_L, MU)
 
 
-class TestOrbitState:
-    def test_convert_preserves_epoch_and_mu(self):
-        kep = [12000.0, 0.2, 0.4, 0.1, 0.2, 0.3]
-        s = OrbitState(KEPLERIAN, 123.0, kep, MU)
-        out = convert(s, MEE_L)
-        assert out.epoch == 123.0 and out.mu == MU
-        assert out.elements == MEE_L
-
-    def test_serialization_wraps_angles(self):
-        s = OrbitState(EQUINOCTIAL_LAM, 0.0, [7000, 0.1, 0.0, 0.0, 0.0, -1.0], MU)
-        obj = s.to_json_obj()
-        assert 0.0 <= obj["values"][5] < 2 * math.pi
-        assert obj["set"] == "equinoctial"
-        assert obj["fast_variable"] == "lambda"
-
+class TestElementSet:
     def test_set_validation(self):
         with pytest.raises(ValueError):
             ElementSet.parse("cartesian", "L")
@@ -254,49 +242,6 @@ class TestOrbitState:
         for fast in ("l", "true", "banana"):
             with pytest.raises(ValueError, match=repr(fast)):
                 ElementSet.parse("equinoctial", fast)
-
-
-class TestFrameTransform:
-    def test_identity_model(self):
-        s = OrbitState(CARTESIAN, 0.0, [7000, 0, 0, 0, 7.5, 0], MU)
-        out = frame_transform(s, "to_teme", FrameModel())
-        np.testing.assert_array_equal(out.values, s.values)
-
-    def test_rotation_roundtrip(self):
-        th = 0.001
-        rot = np.array(
-            [
-                [math.cos(th), -math.sin(th), 0.0],
-                [math.sin(th), math.cos(th), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        model = FrameModel(rot, "test_z_rotation")
-        s = OrbitState(CARTESIAN, 0.0, [7000.0, 100.0, -50.0, 0.1, 7.5, 0.2], MU)
-        there = frame_transform(s, "to_teme", model)
-        back = frame_transform(there, "from_teme", model)
-        np.testing.assert_allclose(back.values, s.values, atol=1e-14)
-
-    def test_norm_preservation(self):
-        rng = np.random.default_rng(8)
-        q, _ = np.linalg.qr(rng.uniform(-1, 1, (3, 3)))
-        if np.linalg.det(q) < 0:
-            q[:, 0] *= -1
-        model = FrameModel(q, "random_rotation")
-        for _ in range(20):
-            rv = rng.uniform(-7000, 7000, 6)
-            s = OrbitState(CARTESIAN, 0.0, list(rv), MU)
-            out = frame_transform(s, "to_teme", model)
-            assert np.linalg.norm(out.values[:3]) == pytest.approx(
-                np.linalg.norm(rv[:3]), rel=1e-14
-            )
-            assert np.linalg.norm(out.values[3:]) == pytest.approx(
-                np.linalg.norm(rv[3:]), rel=1e-14
-            )
-
-    def test_nonorthonormal_rejected(self):
-        with pytest.raises(ValueError):
-            FrameModel(np.eye(3) * 1.001)
 
 
 class TestConvertDaWithLoads:

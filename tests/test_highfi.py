@@ -360,6 +360,23 @@ class TestHarrisPriester:
         rhos = [harris_priester_density(h, 0.5, 2.0) for h in (305.0, 310.0, 315.0)]
         assert rhos[0] > rhos[1] > rhos[2]
 
+    def test_bulge_exponent_follows_inclination(self, monkeypatch):
+        # 2 for an equatorial orbit, 6 for a polar one
+        seen = []
+
+        def density(h_km, cos_half_sq, exponent):
+            seen.append(exponent)
+            return harris_priester_density(h_km, cos_half_sq, exponent)
+
+        monkeypatch.setattr(forces, "harris_priester_density", density)
+        cfg = ForceConfig(drag=True)
+        sun = sun_position(EPOCH_2021)
+        r3 = [6778.0, 0.0, 0.0]
+        v = math.sqrt(MU / 6778.0)
+        for v3, exponent in (([0.0, v, 0.0], 2.0), ([0.0, 0.0, v], 6.0)):
+            forces.drag_acceleration(sun, r3, v3, cfg, SC)
+            assert seen[-1] == exponent
+
     def test_drag_decays_leo_orbit(self):
         cfg = ForceConfig(degree=0, order=0, third_body_sun=False,
                           third_body_moon=False, drag=True, srp=False)

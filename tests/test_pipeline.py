@@ -15,7 +15,6 @@ from orbuq.elements import (
     EQUINOCTIAL_L,
     EQUINOCTIAL_LAM,
     KEPLERIAN,
-    FrameModel,
     convert_values,
 )
 from orbuq.forces import ForceConfig
@@ -255,27 +254,6 @@ class TestShiftTle:
         target[:3] += 1e-3 * vhat  # one meter along track
         shifted = shift_tle(th, t1, target, lf_map, CARTESIAN, mu)
         assert np.abs(shifted.constant_part()[:3] - target[:3]).max() < 1e-9
-
-    def test_rotated_z_frame_matches_identity(self):
-        # J2 is axisymmetric, so a theory frame turned about z changes the
-        # LF map and the shift only by roundoff
-        th = 0.3
-        rot = np.array([[math.cos(th), -math.sin(th), 0.0],
-                        [math.sin(th), math.cos(th), 0.0],
-                        [0.0, 0.0, 1.0]])
-        mu = 398600.4355
-        theories = (KeplerJ2Theory(mu=mu), KeplerJ2Theory(mu=mu, frame=FrameModel(rot, "z")))
-        sc = kepler_identity_scenario(ic_kepler=(7000.0, 0.05, 40.0, 20.0, 30.0, 10.0))
-        mu0, p0 = sc.initial_cartesian()
-        dom = initial_domain(mu0, p0, ci=3.0)
-        t1 = sc.epoch_s + sc.duration_s
-        plain, turned = (lf_target(th, sc.epoch_s, t1, CARTESIAN, mu)(dom.state)
-                         for th in theories)
-        target = plain.constant_part() + np.array([1e-3, -2e-3, 1e-3, 1e-6, 0.0, -1e-6])
-        shifted = [shift_tle(th, t1, target, plain, CARTESIAN, mu) for th in theories]
-        for a_map, b_map in ((turned, plain), tuple(shifted)):
-            for a, b in zip(a_map, b_map):
-                assert np.abs(a.c - b.c).max() <= 1e-13 * np.abs(b.c).max()
 
 
 class TestMcReference:
