@@ -100,7 +100,8 @@ class TestConversions:
         assert abs(vals[5]) < 1e-12                       # lam = raan + w + M
 
     def test_mee_definitions_from_keplerian(self):
-        a, e, i, raan, argp, man = kep = [12000.0, 0.2, 0.4, 0.1, 0.2, 0.3]
+        kep = [12000.0, 0.2, 0.4, 0.1, 0.2, 0.3]
+        a, e, _, raan, argp, _ = kep
         vals, flags = convert_values(kep, KEPLERIAN, MEE_L, MU)
         assert flags == ()
         assert vals[0] == pytest.approx(a * (1 - e * e), rel=1e-12)   # p
