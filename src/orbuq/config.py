@@ -61,7 +61,6 @@ def scenario_from_dict(obj: dict) -> Scenario:
     )
     force = ForceConfig(
         mu=_get(obj, "hf.mu", 398600.4355),
-        re_km=_get(obj, "hf.re_km", 6378.1363),
         degree=_get(obj, "hf.degree", 8),
         order=_get(obj, "hf.order", 8),
         third_body_sun=_get(obj, "hf.third_body_sun", True),
@@ -123,7 +122,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "seed": s.seed,
         "hf": {
             "mu": s.force.mu,
-            "re_km": s.force.re_km,
             "degree": s.force.degree,
             "order": s.force.order,
             "third_body_sun": s.force.third_body_sun,

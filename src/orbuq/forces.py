@@ -41,6 +41,7 @@ MU_SUN = 1.32712440018e11     # km^3/s^2
 MU_MOON = 4902.800066
 R_SUN_KM = 696000.0
 AU_KM = 1.495978707e8
+RE_KM = 6378.1363             # Earth equatorial radius
 SRP_P0 = 4.56e-6              # N/m^2 at 1 AU
 OMEGA_EARTH = 7.292115146706979e-5  # rad/s
 _ARCSEC = math.pi / (180.0 * 3600.0)
@@ -66,8 +67,8 @@ class SpacecraftParams:
 class ForceConfig:
     """Force-model selection for the numerical propagator."""
 
+    re_km = RE_KM  # a class constant, not a config field
     mu: float = 398600.4355
-    re_km: float = 6378.1363
     degree: int = 8
     order: int = 8
     third_body_sun: bool = True
@@ -268,7 +269,7 @@ _BLOCK = 1024  # most rows per V/W table: bounds the work set of large batches
 
 
 def _form_for(cfg: ForceConfig) -> _HarmonicForm:
-    key = (cfg.gravity_path, cfg.degree, cfg.order, cfg.mu, cfg.re_km)
+    key = (cfg.gravity_path, cfg.degree, cfg.order, cfg.mu)
     if key not in _FORM_CACHE:
         _FORM_CACHE[key] = _HarmonicForm(_field_for(cfg), cfg.mu, cfg.re_km)
     return _FORM_CACHE[key]

@@ -507,18 +507,14 @@ def generate_split_library(L: int, lam_penalty: float, *,
 
 
 def split_kernel(kernel: GaussianKernel, direction: int, lib: SplitLibrary,
-                 basis: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> list[GaussianKernel]:
+                 basis: tuple[np.ndarray, np.ndarray]) -> list[GaussianKernel]:
     """Split one kernel along an eigen-direction of its covariance.
 
-    ``basis`` may supply a precomputed ``(eigenvalues, eigenvectors)`` pair so
-    a caller tracking the spectral factorization (the split engine) keeps its
-    direction indexing; otherwise the factorization is recomputed here.
+    ``basis`` is the ``(eigenvalues, eigenvectors)`` pair of the covariance,
+    as ``spectral_factors`` gives it or as the split engine tracks it down a
+    tree; ``direction`` indexes its columns.
     """
-    if basis is None:
-        lamv, vec = spectral_factors(kernel.cov)
-    else:
-        lamv, vec = basis
+    lamv, vec = basis
     n = kernel.dim
     if not 0 <= direction < n:
         raise IndexError(f"direction {direction} out of range 0..{n - 1}")

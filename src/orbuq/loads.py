@@ -1,13 +1,16 @@
 """Adaptive domain splitting driven by a DA nonlinearity index.
 
-A domain couples a polynomial state (the uncertainty set, always an affine
-function of the box variables on input) with its Gaussian kernel and the
-spectral factorization of the kernel covariance, whose eigenvalue is
-exactly 0.0 on an inert direction (``gmm.is_inert``).  The engine evaluates the
-target map on each queued domain, measures nonlinearity from the Taylor
-expansion of the map Jacobian, re-normalized by the current kernel's
-one-sigma-times-CI amplitudes, and when the index exceeds the threshold
-replaces the domain by library-split children along the worst direction.
+A domain is a Gaussian kernel with the spectral factorization of its
+covariance, whose eigenvalue is exactly 0.0 on an inert direction
+(``gmm.is_inert``), and a polynomial state: the kernel's affine chart on the
+unit box, ``mu + V {ci * sqrt(lambda) dx}``.  Roots and split children alike
+build the state from the kernel's mean and eigenpairs with ``DAVector.affine``,
+so the state and the kernel agree bit for bit at every depth; a domain's split
+count is the length of its split history.  The engine evaluates the target
+map on each queued domain, measures nonlinearity from the Taylor expansion of
+the map Jacobian, re-normalized by the current kernel's one-sigma-times-CI
+amplitudes, and when the index exceeds the threshold replaces the domain by
+library-split children along the worst direction.
 
 One loop runs every root domain, one generation at a time: the domains of a
 generation, whatever their root, go to the target in stacks of up to
@@ -42,24 +45,25 @@ __all__ = [
 
 @dataclass
 class Domain:
-    """One uncertainty subset: polynomial state, kernel, spectral bookkeeping.
+    """One uncertainty subset: kernel, its eigenpairs and its polynomial state.
 
     ``eigvecs`` and ``eigvals`` are the kernel's eigenpairs, the only
     factorization of its covariance that is read after a split; ``eigvals``
-    is exactly 0.0 on inert directions.
+    is exactly 0.0 on inert directions.  ``state`` is the kernel's affine
+    chart, ``DAVector.affine(ctx, kernel.mean, eigvecs * (ci * sqrt(eigvals)))``
+    bit for bit, and ``nsplits`` is ``len(history)``.
     """
 
     state: DAVector
     kernel: GaussianKernel
     eigvecs: np.ndarray          # fixed eigenbasis shared by the whole tree
     eigvals: np.ndarray          # current kernel eigenvalues, aligned with dx_j
-    nsplits: int = 0
     history: list[tuple[int, int]] = field(default_factory=list)
     nli: float | None = None     # set by the engine; None if skipped
 
-    def __post_init__(self):
-        if self.nsplits != len(self.history):
-            raise ValueError("nsplits must equal history length")
+    @property
+    def nsplits(self) -> int:
+        return len(self.history)
 
     @property
     def weight(self) -> float:
@@ -145,8 +149,8 @@ class LoadsConfig:
 
 
 def initial_domain(mean: Sequence[float], cov: np.ndarray, ci: float,
-                   order: int = 2, weight: float = 1.0) -> Domain:
-    """Root domain: state mu + V {ci * sqrt(lambda) dx} with its kernel.
+                   weight: float = 1.0) -> Domain:
+    """Root domain: second-order state mu + V {ci * sqrt(lambda) dx} with its kernel.
 
     Zero-variance eigendirections get zero amplitude: the matching box
     variables are inert (never split, never sampled off the mean).  A
@@ -156,12 +160,8 @@ def initial_domain(mean: Sequence[float], cov: np.ndarray, ci: float,
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(cov, dtype=np.float64)
     lam, vec = spectral_factors(cov)
-    n = mean.size
-    ctx = AlgebraContext(order, n)
-    amp = vec * (ci * np.sqrt(lam))
-    state = DAVector.affine(ctx, mean, amp)
     return Domain(
-        state=state,
+        state=DAVector.affine(AlgebraContext(2, mean.size), mean, vec * (ci * np.sqrt(lam))),
         kernel=GaussianKernel(weight, mean, cov),
         eigvecs=vec,
         eigvals=lam,
@@ -263,37 +263,30 @@ def split_domain(domain: Domain, k: int, lib: SplitLibrary, ci: float
                  ) -> list[Domain]:
     """Replace a domain by L children along box variable k (1-based).
 
-    Child i substitutes ``dx_k -> means[i]/ci + sigma*dx_k`` in the state and
-    carries the matching spectrally-split kernel, so the box-to-kernel affine
-    correspondence is preserved exactly.
+    Child i carries the i-th spectrally-split kernel, whose eigenvalue along
+    k is the parent's times sigma^2, and a state built from that kernel as
+    ``initial_domain`` builds a root's, so the box-to-kernel correspondence
+    holds exactly at every depth.
     """
     ctx = domain.state.ctx
     if not 1 <= k <= ctx.nvars:
         raise IndexError(f"split direction {k} out of range 1..{ctx.nvars}")
     if is_inert(domain.eigvals[k - 1]):
         raise ValueError(f"direction {k} carries no uncertainty; refusing split")
-    kernels = split_kernel(
-        domain.kernel, k - 1, lib, basis=(domain.eigvals, domain.eigvecs)
-    )
-    identity = ctx.identity_vector()
-    children = []
-    for i, (mu_t, kern) in enumerate(zip(lib.means, kernels)):
-        sub = list(identity.components)
-        sub[k - 1] = ctx.variable(k) * lib.sigma + (mu_t / ci)
-        child_state = domain.state.compose(sub)
-        lam_child = domain.eigvals.copy()
-        lam_child[k - 1] *= lib.sigma**2
-        children.append(
-            Domain(
-                state=child_state,
-                kernel=kern,
-                eigvecs=domain.eigvecs,
-                eigvals=lam_child,
-                nsplits=domain.nsplits + 1,
-                history=domain.history + [(k, i)],
-            )
+    kernels = split_kernel(domain.kernel, k - 1, lib, (domain.eigvals, domain.eigvecs))
+    lam_child = domain.eigvals.copy()
+    lam_child[k - 1] *= lib.sigma**2
+    amp = domain.eigvecs * (ci * np.sqrt(lam_child))
+    return [
+        Domain(
+            state=DAVector.affine(ctx, kern.mean, amp),
+            kernel=kern,
+            eigvecs=domain.eigvecs,
+            eigvals=lam_child,
+            history=domain.history + [(k, i)],
         )
-    return children
+        for i, kern in enumerate(kernels)
+    ]
 
 
 _WIDTH = 64  # states per stacked call; wider stacks fall out of the cache

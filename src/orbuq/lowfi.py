@@ -36,6 +36,7 @@ from .elements import (
     KEPLERIAN,
     convert_values,
 )
+from .forces import RE_KM
 from .generic import cons, cos, each, sin, sqrt
 from .sgp4 import WGS72, GravityConstants, Sgp4
 from .ta import DAVector, TaylorPoly
@@ -78,7 +79,7 @@ class KeplerJ2Theory:
     name = "kepler_j2"
     mean_set: ElementSet = EQUINOCTIAL_LAM
     angle_indices = (5,)
-    re_km = 6378.1363  # equatorial radius that scales J2
+    re_km = RE_KM  # equatorial radius that scales J2
 
     def __init__(self, mu: float = 398600.4355, j2: float = 1.08262668e-3):
         self.mu = mu
@@ -128,33 +129,24 @@ class Sgp4Theory:
 
     Mean elements are TLE-style Keplerian ``(a_kozai km, e, i, raan, argp, M)``
     where the Kozai mean motion is recovered as ``xke / (a/Re)^1.5``.  B* is
-    held at the configured value during propagation and excluded from the
-    inversion.
+    the mean elements' own (0.0 unless read from a TLE), held during
+    propagation and excluded from the inversion.
     """
 
     name = "sgp4"
     mean_set: ElementSet = KEPLERIAN
     angle_indices = (3, 4, 5)
 
-    def __init__(self, grav: GravityConstants = WGS72, bstar: float = 0.0):
+    def __init__(self, grav: GravityConstants = WGS72):
         self.grav = grav
         self.mu = grav.mu
-        self.bstar = bstar
-
-    def _model(self, values, bstar=None):
-        a, ecc, incl, node, argp, mo = values
-        a_er = a / self.grav.radiusearthkm
-        no_kozai = self.grav.xke / a_er**1.5
-        return Sgp4(
-            no_kozai, ecc, incl, node, argp, mo,
-            bstar=self.bstar if bstar is None else bstar,
-            grav=self.grav,
-        )
 
     def propagate_mean(self, mean: MeanElements, t_s: float):
-        model = self._model(mean.values, bstar=mean.bstar)
-        tsince_min = (t_s - mean.epoch_s) / 60.0
-        return model.propagate(tsince_min)
+        a, ecc, incl, node, argp, mo = mean.values
+        a_er = a / self.grav.radiusearthkm
+        no_kozai = self.grav.xke / a_er**1.5
+        model = Sgp4(no_kozai, ecc, incl, node, argp, mo, bstar=mean.bstar, grav=self.grav)
+        return model.propagate((t_s - mean.epoch_s) / 60.0)
 
     def from_tle_record(self, rec, epoch_s: float) -> MeanElements:
         a_er = (self.grav.xke / rec.no_kozai) ** (2.0 / 3.0)
@@ -210,8 +202,7 @@ def osc_to_mean(theory, epoch_s: float, cart_values, eps_max: float = 1e-10,
     mean it would get alone.
     """
     osc_target = theory.osc_extract(cart_values)
-    mean = MeanElements(theory.name, epoch_s, list(osc_target),
-                        bstar=getattr(theory, "bstar", 0.0))
+    mean = MeanElements(theory.name, epoch_s, list(osc_target))
     history = []
     for _ in range(i_max):
         cart_i = theory.propagate_mean(mean, epoch_s)

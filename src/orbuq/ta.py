@@ -722,9 +722,6 @@ class DAVector:
     def nilpotent(self) -> "DAVector":
         return DAVector([p.nilpotent() for p in self.components])
 
-    def compose(self, sub: "DAVector | Sequence[TaylorPoly]") -> "DAVector":
-        return DAVector([p.compose(sub) for p in self.components])
-
     def eval(self, point: Sequence[float]) -> np.ndarray:
         return np.array([p.eval(point) for p in self.components])
 

@@ -258,7 +258,7 @@ class TestConfigHelpers:
 
     @pytest.mark.parametrize("item", [
         "loads.epsnu=0.5", 'hf.tableau="dp5"', "library.L=3", "ut.kappa=0",
-        "loads.conversion_eps_nu=0.02", "hf.drag_bulge_exponent=4",
+        "loads.conversion_eps_nu=0.02", "hf.drag_bulge_exponent=4", "hf.re_km=6378.0",
     ])
     def test_unknown_key_exit_2(self, tiny_config, tmp_path, capsys, item):
         # a misspelt key, then keys that were removed

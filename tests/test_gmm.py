@@ -32,6 +32,7 @@ from orbuq.gmm import (
     marginal_mixture,
     reconstruct_moments,
     regular_dims,
+    spectral_factors,
     split_kernel,
     ut_sigma,
 )
@@ -217,7 +218,7 @@ class TestDefaultLibrary:
 class TestSplitKernel:
     def test_standard_normal_children(self, table_library):
         parent = GaussianKernel(1.0, np.zeros(3), np.eye(3))
-        kids = split_kernel(parent, 0, table_library)
+        kids = split_kernel(parent, 0, table_library, spectral_factors(parent.cov))
         assert len(kids) == 3
         means = sorted(k.mean[0] for k in kids)
         assert means[0] == pytest.approx(-1.0575150485760967, abs=1e-12)
@@ -232,7 +233,7 @@ class TestSplitKernel:
         rng = np.random.default_rng(3)
         a = rng.uniform(-1, 1, (4, 4))
         parent = GaussianKernel(0.7, rng.uniform(-1, 1, 4), a @ a.T + np.eye(4))
-        kids = split_kernel(parent, 2, table_library)
+        kids = split_kernel(parent, 2, table_library, spectral_factors(parent.cov))
         assert sum(k.weight for k in kids) == pytest.approx(parent.weight, abs=1e-14)
         mix_mean = sum(k.weight * k.mean for k in kids) / parent.weight
         np.testing.assert_allclose(mix_mean, parent.mean, atol=1e-13)
@@ -240,7 +241,7 @@ class TestSplitKernel:
     def test_mixture_covariance_defect_matches_direct_summation(self, table_library):
         # direct second-moment accumulation over children along the split axis
         parent = GaussianKernel(1.0, np.zeros(2), np.eye(2))
-        kids = split_kernel(parent, 1, table_library)
+        kids = split_kernel(parent, 1, table_library, spectral_factors(parent.cov))
         second = np.zeros((2, 2))
         for k in kids:
             second += k.weight * (np.outer(k.mean, k.mean) + k.cov)
@@ -251,7 +252,7 @@ class TestSplitKernel:
     def test_pdf_reconstruction_l2_equals_library_residual(self, table_library):
         # 1D quadrature of (parent - children-mixture)^2 along the split line
         parent = GaussianKernel(1.0, np.zeros(1), np.eye(1))
-        kids = split_kernel(parent, 0, table_library)
+        kids = split_kernel(parent, 0, table_library, spectral_factors(parent.cov))
         mix = GaussianMixture(tuple(kids))
 
         def integrand(x):
@@ -424,7 +425,8 @@ def test_split_sequence_preserves_total_weight(table_library):
     kernels = [GaussianKernel(1.0, np.zeros(3), np.eye(3))]
     for _ in range(4):
         k = kernels.pop(0)
-        kernels.extend(split_kernel(k, rng.integers(0, 3), table_library))
+        kernels.extend(split_kernel(k, rng.integers(0, 3), table_library,
+                                    spectral_factors(k.cov)))
     assert sum(k.weight for k in kernels) == pytest.approx(1.0, abs=1e-12)
 
 

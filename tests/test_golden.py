@@ -7,17 +7,20 @@ program before the split loop evaluated domains in stacked batches, the
 multi-root values before one loop ran the generations of all roots together;
 any change to them must be shown to follow from a change of the maps, not of
 the loop.  Every run must also evaluate every stack of domains
-in one call, with no member-by-member fallback.
+in one call, with no member-by-member fallback, and every domain's state
+must be its kernel's affine chart, bit for bit.
 """
 
 import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from orbuq.config import load_scenario
 from orbuq.pipeline import lf_stage
+from orbuq.ta import DAVector
 
 # (bundled scenario, overrides, kernels, histories digest, weight checksum)
 GOLDEN = {
@@ -56,3 +59,8 @@ def test_golden_manifold(case):
     # every stacked call of the split loop went through as one stack
     assert stage.stats.batch_fallbacks == 0
     assert stage.stats.target_evals == sum(stage.stats.domains_per_generation)
+    # split children build their states as the roots do, from their kernels
+    for d in stage.inputs:
+        chart = DAVector.affine(d.state.ctx, d.kernel.mean,
+                                d.eigvecs * (scenario.ci * np.sqrt(d.eigvals)))
+        assert all(np.array_equal(p.c, q.c) for p, q in zip(d.state, chart))

@@ -252,25 +252,22 @@ class TestSplitDomain:
         assert sum(got) == pytest.approx(1.0, abs=1e-14)
 
     def test_state_kernel_affine_consistency(self, lib3):
-        # child box must still map onto the child kernel's CI ellipsoid
+        # every domain's box maps onto its own kernel's CI ellipsoid, bit for
+        # bit: the state is the kernel's affine chart at every depth
         rng = np.random.default_rng(11)
         a = rng.uniform(-1, 1, (3, 3))
         cov = a @ a.T + 0.5 * np.eye(3)
         d = initial_domain(rng.uniform(-1, 1, 3), cov, ci=3.0)
         kids = split_domain(d, 2, lib3, ci=3.0)
-        for kid in kids:
-            np.testing.assert_allclose(
-                kid.state.constant_part(), kid.kernel.mean, atol=1e-12
+        grandkids = split_domain(kids[0], 3, lib3, ci=3.0)
+        for dom in [d, *kids, *grandkids]:
+            chart = DAVector.affine(
+                dom.state.ctx, dom.kernel.mean, dom.eigvecs * (3.0 * np.sqrt(dom.eigvals))
             )
-            amp = np.array(
-                [
-                    [kid.state[i].coeffs().get(tuple(np.eye(3, dtype=int)[j]), 0.0)
-                     for j in range(3)]
-                    for i in range(3)
-                ]
-            )
-            expected = kid.eigvecs * (3.0 * np.sqrt(kid.eigvals))
-            np.testing.assert_allclose(amp, expected, atol=1e-12)
+            for got, ref in zip(dom.state, chart):
+                assert np.array_equal(got.c, ref.c)
+        assert [g.nsplits for g in grandkids] == [2, 2, 2]
+        assert [g.history for g in grandkids] == [[(2, 0), (3, i)] for i in range(3)]
 
     def test_pdf_reconstruction_quadrature(self, lib3):
         # children mixture vs parent along the split eigline: L2 defect equals

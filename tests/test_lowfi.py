@@ -205,7 +205,7 @@ class TestOscToMean:
 
     def test_sgp4_roundtrip_recovers_tle_elements(self):
         rec = parse_tle(CLASSIC_TLE_1, CLASSIC_TLE_2)
-        th = Sgp4Theory(bstar=0.0)
+        th = Sgp4Theory()
         mean_src = th.from_tle_record(rec, epoch_s=0.0)
         mean_src = MeanElements(th.name, 0.0, mean_src.values, bstar=0.0)
         cart = th.propagate_mean(mean_src, 0.0)
