@@ -1,10 +1,13 @@
 """Perturbing force models for the high-fidelity propagator.
 
 Central gravity with a normalized spherical-harmonics field (Cunningham V/W
-recursion, Earth-fixed via a GMST spin), analytical low-precision Sun/Moon
-third-body terms, the modified Harris-Priester static atmosphere with a
-diurnal-bulge exponent tied to the orbit inclination, and a cannonball SRP
-model with a dual-cone umbra/penumbra shadow factor (linear penumbra ramp).
+recursion, Earth-fixed via a GMST spin), low-precision Sun/Moon third-body
+terms, the modified Harris-Priester static atmosphere with a diurnal-bulge
+exponent tied to the orbit inclination, and a cannonball SRP model with a
+dual-cone umbra/penumbra shadow factor (linear penumbra ramp).  The Sun is
+analytical.  The Moon's analytical series is fitted on one-day Chebyshev
+granules, each built the first time a time in its day is asked for, and
+reproduces the series within 1e-12 of the lunar distance.
 
 Every force takes its position and velocity as three components, each a
 plain float, a numpy column of shape (N,) for a sample batch, or a Taylor
@@ -183,12 +186,11 @@ class _HarmonicForm:
     ``coef`` (2P, 3) of the flattened table.
     """
 
-    def __init__(self, fld: GravityField, mu: float, re_km: float):
+    def __init__(self, fld: GravityField, mu: float):
         nmax = fld.nmax
         nv = nmax + 1  # the sums read degree n+1
         at = [n * (n + 1) // 2 for n in range(nv + 2)]
         self.size = at[nv + 1]
-        self.re = re_km
         a = np.zeros(self.size)
         b = np.zeros(self.size)
         for n in range(1, nv + 1):
@@ -232,12 +234,12 @@ class _HarmonicForm:
                     v[down, 1] += fac * s
                 v[row + order, 2] -= (deg - order + 1) * c
                 w[row + order, 2] -= (deg - order + 1) * s
-        self.coef = form.reshape(-1, 3) * (mu / (re_km * re_km))
+        self.coef = form.reshape(-1, 3) * (mu / (RE_KM * RE_KM))
 
     def __call__(self, xe, ye, ze):
         """Earth-fixed acceleration of positions given as float scalars, or as
         float or object columns; shape (3,) + the shape of ``xe``."""
-        re = self.re
+        re = RE_KM
         r2 = xe * xe + ye * ye + ze * ze
         rinv = 1.0 / np.sqrt(r2)
         sr = re * (rinv * rinv)
@@ -271,7 +273,7 @@ _BLOCK = 1024  # most rows per V/W table: bounds the work set of large batches
 def _form_for(cfg: ForceConfig) -> _HarmonicForm:
     key = (cfg.gravity_path, cfg.degree, cfg.order, cfg.mu)
     if key not in _FORM_CACHE:
-        _FORM_CACHE[key] = _HarmonicForm(_field_for(cfg), cfg.mu, cfg.re_km)
+        _FORM_CACHE[key] = _HarmonicForm(_field_for(cfg), cfg.mu)
     return _FORM_CACHE[key]
 
 
@@ -326,8 +328,12 @@ def sun_position(t_s):
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def moon_position(t_s):
-    """Low-precision analytical lunar position (km, equatorial inertial frame)."""
+def _moon_series(t_s):
+    """Low-precision analytical lunar position (km, equatorial inertial frame).
+
+    Montenbruck & Gill, *Satellite Orbits*, ch. 3: 37 sines and cosines of
+    the mean arguments, for a float or an (N,) float column of times.
+    """
     t = julian_centuries(t_s)
     l0 = (218.31617 + 481267.88088 * t) * _DEG
     l = (134.96292 + 477198.86753 * t) * _DEG
@@ -374,12 +380,93 @@ def moon_position(t_s):
     )
     eps = 23.43929111 * _DEG
     ce, se = math.cos(eps), math.sin(eps)
-    xec = r * np.cos(lam) * np.cos(beta)
-    yec = r * np.sin(lam) * np.cos(beta)
+    cb = np.cos(beta)
+    xec = r * np.cos(lam) * cb
+    yec = r * np.sin(lam) * cb
     zec = r * np.sin(beta)
     return np.stack(
         np.broadcast_arrays(xec, ce * yec - se * zec, se * yec + ce * zec), axis=-1
     )
+
+
+_MOON_DEGREE = 10  # Chebyshev degree of a one-day granule
+_MOON_NODES = 32   # series samples per granule, at the Chebyshev nodes of its day
+# whole-day index k -> the granule of [k DAY_S, (k+1) DAY_S): its coefficients
+# as a (degree+1, 3, 1) array for columns and as nested lists for float times
+_MOON_GRANULES: dict[int, tuple[np.ndarray, list]] = {}
+
+
+def _moon_granule(k: int):
+    """The Chebyshev coefficients of day ``k``, fitted to the series on first use.
+
+    The series is sampled at the ``_MOON_NODES`` Chebyshev nodes of the day;
+    by their discrete orthogonality the first ``_MOON_DEGREE + 1``
+    coefficients are the least-squares fit on those nodes.
+    """
+    granule = _MOON_GRANULES.get(k)
+    if granule is None:
+        ang = (np.arange(_MOON_NODES) + 0.5) * (math.pi / _MOON_NODES)
+        t = k * DAY_S + (np.cos(ang) + 1.0) * (0.5 * DAY_S)
+        basis = np.cos(np.outer(np.arange(_MOON_DEGREE + 1), ang))
+        # einsum without ``optimize`` sums in index order, free of BLAS blocking
+        coef = np.einsum("jn,nc->jc", basis, _moon_series(t)) * (2.0 / _MOON_NODES)
+        coef[0] *= 0.5
+        granule = _MOON_GRANULES[k] = (coef[:, :, None].copy(), coef.tolist())
+    return granule
+
+
+def _clenshaw(x, coef):
+    """Chebyshev sum of ``coef`` (degree+1, 3, 1) at the (N,) column ``x``: (3, N)."""
+    x2 = x + x
+    b1, b2 = coef[-1], 0.0
+    for c in coef[-2:0:-1]:
+        b = x2 * b1
+        b -= b2
+        b += c
+        b1, b2 = b, b1
+    b = x * b1
+    b -= b2
+    b += coef[0]
+    return b
+
+
+def moon_position(t_s):
+    """Lunar position (km, equatorial inertial frame) at a float or an (N,) column of times.
+
+    ``_moon_series`` fitted on one-day Chebyshev granules of degree
+    ``_MOON_DEGREE``, built on first use of each day (nothing at import).
+    The fit stays within 1e-12 of the series relative to the Moon's
+    distance: 5.7e-13 at most over 2021, where the series' own rounding
+    dominates, and 1.5e-15 near J2000.  Each time picks its
+    day ``k = floor(t / DAY_S)`` and maps to ``x = (t - k DAY_S) 2 / DAY_S - 1``;
+    the Clenshaw recurrence then takes one multiply, subtract and add per
+    term and component.  A float time runs that recurrence on Python floats,
+    a column on numpy rows, grouped by day, with the same IEEE operations,
+    so a row's bits do not depend on its batch.
+    """
+    if np.ndim(t_s) == 0:
+        t = float(t_s)
+        k = math.floor(t / DAY_S)
+        x = (t - k * DAY_S) * (2.0 / DAY_S) - 1.0
+        coef = _moon_granule(k)[1]
+        x2 = x + x
+        (ax, ay, az), bx, by, bz = coef[-1], 0.0, 0.0, 0.0
+        for cx, cy, cz in coef[-2:0:-1]:
+            ax, bx = x2 * ax - bx + cx, ax
+            ay, by = x2 * ay - by + cy, ay
+            az, bz = x2 * az - bz + cz, az
+        cx, cy, cz = coef[0]
+        return np.array([x * ax - bx + cx, x * ay - by + cy, x * az - bz + cz])
+    t = np.asarray(t_s, dtype=np.float64)
+    k = np.floor(t / DAY_S)
+    x = (t - k * DAY_S) * (2.0 / DAY_S) - 1.0
+    if k.min() == k.max():
+        return _clenshaw(x, _moon_granule(int(k[0]))[0]).T
+    out = np.empty((3,) + t.shape)
+    for day in np.unique(k):
+        rows = k == day
+        out[:, rows] = _clenshaw(x[rows], _moon_granule(int(day))[0])
+    return out.T
 
 
 def third_body_acceleration(r3, body_pos, mu_body):
@@ -494,14 +581,14 @@ def drag_acceleration(sun, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
 # -- solar radiation pressure ------------------------------------------------------
 
 
-def shadow_factor(r3, sun_pos, re_km: float):
+def shadow_factor(r3, sun_pos):
     """Dual-cone illumination factor in [0, 1] with a linear penumbra ramp."""
     d = [sun_pos[..., 0] - r3[0], sun_pos[..., 1] - r3[1], sun_pos[..., 2] - r3[2]]
     dmag = norm3(d)
     rmag = norm3(r3)
     # apparent radii and separation of the Sun and Earth disks
     a_sun = np.arcsin(np.clip(R_SUN_KM / cons(dmag), -1, 1))
-    b_earth = np.arcsin(np.clip(re_km / cons(rmag), -1, 1))
+    b_earth = np.arcsin(np.clip(RE_KM / cons(rmag), -1, 1))
     cosc = cons(
         (-(r3[0]) * d[0] - r3[1] * d[1] - r3[2] * d[2]) / (rmag * dmag)
     )
@@ -514,7 +601,7 @@ def srp_acceleration(sun, r3, cfg: ForceConfig, sc: SpacecraftParams):
     """Cannonball SRP with shadow; ``sun`` is the Sun position (km) at the epoch of r3."""
     d = [r3[0] - sun[..., 0], r3[1] - sun[..., 1], r3[2] - sun[..., 2]]
     dmag = norm3(d)
-    nu = shadow_factor(r3, sun, cfg.re_km)
+    nu = shadow_factor(r3, sun)
     # P0 * Cr * A/m in m/s^2 -> km/s^2, scaled by (AU/d)^2
     fac = nu * SRP_P0 * sc.cr * sc.area / sc.mass * 1.0e-3 * (AU_KM**2) / (dmag * dmag)
     dunit_fac = fac / dmag
@@ -537,7 +624,7 @@ def acceleration(t_s, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
     acc = gravity_acceleration(r3, cfg, t_s)
     # one Sun position serves the third body, the drag bulge and SRP
     if cfg.third_body_sun or cfg.drag or cfg.srp:
-        sun = sun_position(cons(t_s) if is_poly(t_s) else t_s)
+        sun = sun_position(t_s)
     if cfg.third_body_sun:
         a = third_body_acceleration(r3, sun, MU_SUN)
         acc = [acc[j] + a[j] for j in range(3)]

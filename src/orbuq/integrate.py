@@ -11,14 +11,15 @@ arrays and object arrays of polynomials:
 
 * ``integrate_batch`` - the adaptive loop: (N, d) float states advance with
   per-row time, step size and accept/reject decisions.  A row's arithmetic
-  depends on the other rows in two ways only.  The error estimate's
-  ``tensordot``, a BLAS call, may round differently for another row count.
-  And the right-hand side sees just the rows still active, so a row that
-  ends a batch alone is evaluated as a one-row call on that row's scalars
-  (``highfi.make_cartesian_rhs``).  Gravity gives such a row the bits it
-  has in a batch of any width; a math-library call of the other force terms
-  (``math.pow`` in the drag bulge) need not match numpy's array loop to the
-  last bit.  Results are deterministic for a fixed partition into batches.
+  depends on the other rows in one way only: the right-hand side sees just
+  the rows still active, so a row that ends a batch alone is evaluated as a
+  one-row call on that row's scalars (``highfi.make_cartesian_rhs``).
+  Gravity and the Moon give such a row the bits it has in a batch of any
+  width; a math-library call of the other force terms (``math.pow`` in the
+  drag bulge) need not match numpy's array loop to the last bit.  The error
+  estimate sums its stages with ``einsum`` in stage order, not with a BLAS
+  call whose rounding may follow the row count.  Results are deterministic
+  for a fixed partition into batches.
   ``integrate_single`` is the N = 1 call.
 
 * ``integrate_da`` - a one-row float shadow of the constant part runs the
@@ -98,8 +99,8 @@ class _Dp8:
     @classmethod
     def error_norm(cls, big_k, h_abs, scale):
         """Combined 5th/3rd-order estimate, per sample (axes: stage, ..., comp)."""
-        err5 = np.tensordot(cls.e5, big_k, axes=(0, 0)) / scale
-        err3 = np.tensordot(cls.e3, big_k, axes=(0, 0)) / scale
+        err5 = np.einsum("s,s...->...", cls.e5, big_k) / scale
+        err3 = np.einsum("s,s...->...", cls.e3, big_k) / scale
         e5sq = np.sum(err5 * err5, axis=-1)
         e3sq = np.sum(err3 * err3, axis=-1)
         denom = e5sq + 0.01 * e3sq

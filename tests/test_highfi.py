@@ -1,11 +1,16 @@
 """Force models, integrator behavior and the two propagation formulations."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbuq
 from orbuq import forces
 from orbuq.elements import CARTESIAN, KEPLERIAN, MEE_L, convert_values
 from orbuq.forces import (
@@ -28,7 +33,7 @@ from orbuq.highfi import (
 )
 from orbuq.integrate import IntegratorConfig, integrate_batch, integrate_fixed
 from orbuq.ta import AlgebraContext, DAVector
-from orbuq.timeutil import jday_from_iso, seconds_since_j2000
+from orbuq.timeutil import DAY_S, jday_from_iso, seconds_since_j2000
 
 MU = 398600.4355
 SC = SpacecraftParams()
@@ -96,6 +101,19 @@ class TestAcceleration:
         for i in range(5):
             row = rhs(np.array([EPOCH_2021]), y[i][None, :])[0]
             np.testing.assert_array_equal(batch[i], row)
+
+    def test_batch_straddling_a_day_matches_scalar_rows(self):
+        # the Moon's granule is chosen per row, so rows on either side of a
+        # day boundary keep their bits inside one batch
+        cfg = ForceConfig(drag=True, srp=True)
+        rng = np.random.default_rng(3)
+        edge = (math.floor(EPOCH_2021 / DAY_S) + 1) * DAY_S
+        t = edge + np.array([-30.0, -1e-6, 0.0, 1e-6, 45.0])
+        y = np.tile([6678.0, 0, 0, 0, 7.7, 0], (5, 1)) + rng.normal(0, 1, (5, 6)) * 0.1
+        rhs = make_cartesian_rhs(cfg, SC)
+        batch = rhs(t, y)
+        for i in range(5):
+            np.testing.assert_array_equal(batch[i], rhs(t[i:i + 1], y[i][None, :])[0])
 
     def test_one_sun_position_per_call(self, monkeypatch):
         # the Sun serves the third body, the drag bulge and SRP: computed once,
@@ -317,17 +335,61 @@ class TestThirdBodies:
         assert 0.0 < diff < 1e-9  # solar tide at LEO is ~1e-12 km/s^2 scale
 
 
+class TestGranuleMoon:
+    """The Moon from one-day Chebyshev granules of the analytical series."""
+
+    @staticmethod
+    def _times(rng, start):
+        # random times over four days from ``start`` plus both sides of every
+        # day boundary among them
+        t = start + rng.uniform(0.0, 4 * DAY_S, 10_000)
+        edges = (math.floor(start / DAY_S) + np.arange(1, 5)) * DAY_S
+        near = edges[:, None] + np.array([-1e-6, -1e-7, 0.0, 1e-7, 1e-6])
+        return np.concatenate([t, near.ravel()])
+
+    @pytest.mark.parametrize("start", [EPOCH_2021, -2.5 * DAY_S])
+    def test_within_1e12_of_series(self, start):
+        t = self._times(np.random.default_rng(11), start)
+        ref = forces._moon_series(t)
+        got = moon_position(t)
+        rel = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert rel.max() < 1e-12
+
+    def test_float_time_matches_array_row(self):
+        t = self._times(np.random.default_rng(12), EPOCH_2021)[::97]
+        col = moon_position(t)
+        for i, ti in enumerate(t):
+            np.testing.assert_array_equal(moon_position(float(ti)), col[i])
+
+    def test_straddling_batch_matches_rows_alone(self):
+        edge = (math.floor(EPOCH_2021 / DAY_S) + 1) * DAY_S
+        t = edge + np.array([-3600.0, -1e-6, 0.0, 1e-6, 7200.0, -2.0 * DAY_S, DAY_S])
+        col = moon_position(t)
+        for i in range(t.size):
+            np.testing.assert_array_equal(moon_position(t[i:i + 1])[0], col[i])
+
+    def test_setup_builds_no_granule(self):
+        # importing and loading a scenario fit nothing: granules are built by
+        # the first force evaluation of their day
+        src = str(Path(orbuq.__file__).resolve().parents[1])
+        code = ("from orbuq import config, forces; config.load_scenario('leo', []); "
+                "print(len(forces._MOON_GRANULES))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "0"
+
+
 class TestShadow:
     def test_deep_umbra_zero(self):
         sun = sun_position(EPOCH_2021)
         r_anti = -sun / np.linalg.norm(sun) * 7000.0
-        nu = shadow_factor([r_anti[0], r_anti[1], r_anti[2]], sun, 6378.1363)
+        nu = shadow_factor([r_anti[0], r_anti[1], r_anti[2]], sun)
         assert nu == 0.0
 
     def test_sun_side_full(self):
         sun = sun_position(EPOCH_2021)
         r_sun_side = sun / np.linalg.norm(sun) * 7000.0
-        nu = shadow_factor([r_sun_side[0], r_sun_side[1], r_sun_side[2]], sun, 6378.1363)
+        nu = shadow_factor([r_sun_side[0], r_sun_side[1], r_sun_side[2]], sun)
         assert nu == 1.0
 
     def test_srp_zero_in_umbra(self):
