@@ -437,12 +437,14 @@ def moon_position(t_s):
     ``_MOON_DEGREE``, built on first use of each day (nothing at import).
     The fit stays within 1e-12 of the series relative to the Moon's
     distance: 5.7e-13 at most over 2021, where the series' own rounding
-    dominates, and 1.5e-15 near J2000.  Each time picks its
-    day ``k = floor(t / DAY_S)`` and maps to ``x = (t - k DAY_S) 2 / DAY_S - 1``;
-    the Clenshaw recurrence then takes one multiply, subtract and add per
-    term and component.  A float time runs that recurrence on Python floats,
-    a column on numpy rows, grouped by day, with the same IEEE operations,
-    so a row's bits do not depend on its batch.
+    dominates, and 1.5e-15 near J2000.
+
+    Each time picks its day ``k = floor(t / DAY_S)`` and maps to
+    ``x = (t - k DAY_S) 2 / DAY_S - 1``; the Clenshaw recurrence then takes
+    one multiply, subtract and add per term and component.  A float time
+    runs that recurrence on Python floats, a column on numpy rows, grouped
+    by day, with the same IEEE operations, so a row's bits do not depend on
+    its batch.
     """
     if np.ndim(t_s) == 0:
         t = float(t_s)
