@@ -1,40 +1,30 @@
 """Adaptive domain splitting driven by a DA nonlinearity index.
 
-A domain is a Gaussian kernel with the spectral factorization of its
-covariance, whose eigenvalue is exactly 0.0 on an inert direction
-(``gmm.is_inert``), and a polynomial state: the kernel's affine chart on the
-unit box, ``mu + V {ci * sqrt(lambda) dx}``.  Roots and split children alike
-build the state from the kernel's mean and eigenpairs with ``DAVector.affine``,
-so the state and the kernel agree bit for bit at every depth; a domain's split
-count is the length of its split history.  The engine evaluates the target
-map on each queued domain, measures nonlinearity from the Taylor expansion of
-the map Jacobian, re-normalized by the current kernel's one-sigma-times-CI
-amplitudes, and when the index exceeds the threshold replaces the domain by
-library-split children along the worst direction.
-
-One loop runs every root domain, one generation at a time: the domains of a
-generation, whatever their root, go to the target in stacks of up to
-``_WIDTH`` (one ``DAVector`` of stacked polynomials per call, see
-:mod:`orbuq.ta`), and the images come back in the same order.  A stacked call
-that raises, for instance because its members disagree at a branch, is redone
-member by member, which reproduces the lone images and errors.  Domains are
-processed in generation order and children are appended in library order,
-which is each root's breadth-first order; the leaves are returned grouped by
-root in root order, and weights are conserved exactly, so manifold ordering
-is reproducible.  The loop returns the leaves and, index-aligned, their
-images under the target.
+One loop splits every root :class:`Domain` (a Gaussian kernel, its eigenpairs
+and a polynomial state, its affine chart on the unit box) a generation at a
+time.  The domains of a generation go to the target in stacks of up to
+``_WIDTH`` (a failing stack is redone member by member, which reproduces the
+lone images and errors), and each stack's images are scored in one call:
+their CI-scaled Jacobians form one float array, from which the index nu and
+the directional index along every box variable of each domain are summed with
+the bits of its lone index.  A domain whose nu clears the threshold is a leaf;
+any other is replaced by library-split children along its worst direction.
+The leaves come back grouped by root in root order, each root's in its
+breadth-first order, with their images and exactly conserved weights.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .gmm import GaussianKernel, SplitLibrary, is_inert, spectral_factors, split_kernel
-from .ta import AlgebraContext, DAVector, TaylorPoly
+from .ta import AlgebraContext, DAVector
 
 __all__ = [
     "Domain", "Manifold", "SplitStats", "LoadsConfig", "initial_domain", "map_stacked",
@@ -59,7 +49,7 @@ class Domain:
     eigvecs: np.ndarray          # fixed eigenbasis shared by the whole tree
     eigvals: np.ndarray          # current kernel eigenvalues, aligned with dx_j
     history: list[tuple[int, int]] = field(default_factory=list)
-    nli: float | None = None     # set by the engine; None if skipped
+    nli: float | None = None     # set by the engine; None below alpha_min
 
     @property
     def nsplits(self) -> int:
@@ -77,11 +67,13 @@ class SplitStats:
     ``target_evals`` counts states, not calls: a stacked call adds its
     members, and a member redone alone counts again.  ``batch_fallbacks``
     counts the stacked calls that were redone member by member.
+    ``split_directions`` counts each generation's splits by box variable, 1 first.
     """
 
     domains_per_generation: list[int] = field(default_factory=list)
     target_evals: int = 0
     batch_fallbacks: int = 0
+    split_directions: list[list[int]] = field(default_factory=list)
 
 
 @dataclass
@@ -171,89 +163,98 @@ def initial_domain(mean: Sequence[float], cov: np.ndarray, ci: float,
 # -- nonlinearity index ---------------------------------------------------------
 
 
-def raw_jacobian(image: DAVector) -> list[list[TaylorPoly]]:
-    """Jacobian of the image polynomials with respect to the box variables."""
-    n = image.ctx.nvars
-    return [[comp.partial(j + 1) for j in range(n)] for comp in image]
+def raw_jacobian(image: DAVector) -> np.ndarray:
+    """Jacobian of the image with respect to the box variables, as one float array.
+
+    Entry ``[..., i, j]`` of the ``(..., n_out, nvars, size)`` array holds the
+    coefficients of d y_i / d dx_j; a stacked image's members come first.
+    """
+    ctx = image.ctx
+    coeffs = np.stack(np.broadcast_arrays(*(p.c.T for p in image)), axis=-2)
+    jac = np.zeros(coeffs.shape[:-1] + (ctx.nvars, ctx.size))
+    for j, (src, dst, fac) in enumerate(ctx._dtabs):
+        jac[..., j, dst] = coeffs[..., src] * fac
+    return jac
 
 
-def scaled_jacobian(image: DAVector, eigvals: Sequence[float], ci: float
-                    ) -> list[list[TaylorPoly]]:
+def scaled_jacobian(image: DAVector, eigvals: Sequence[float], ci: float) -> np.ndarray:
     """Physical Jacobian normalized column-wise by the kernel amplitudes.
 
     Column j is the partial with respect to box variable j divided by
     ``(ci * sqrt(lambda_j))**2``: one factor converts the box derivative to a
     physical derivative along eigendirection j, the second rescales it by the
     kernel's CI amplitude.  Inert directions (``is_inert``) carry no
-    uncertainty and are zeroed out.
+    uncertainty and are zeroed out.  ``eigvals`` of shape ``(B, nvars)``
+    gives each member of a stacked image its own kernel.
     """
     lam = np.asarray(eigvals, dtype=np.float64)
     if lam.min() < 0:
         raise ValueError(f"negative eigenvalue {lam.min():.3e}")
     if ci <= 0:
         raise ValueError("ci must be positive")
-    ctx = image.ctx
-    if lam.size != ctx.nvars:
+    if lam.shape[-1] != image.ctx.nvars:
         raise ValueError("eigenvalue count must match the variable count")
-    inert = is_inert(lam)
-    cols = [None if inert[j] else 1.0 / (ci * ci * lam[j]) for j in range(ctx.nvars)]
-    out = []
-    for comp in image:
-        row = []
-        for j in range(ctx.nvars):
-            if cols[j] is None:
-                row.append(ctx.zero())
-            else:
-                row.append(comp.partial(j + 1) * cols[j])
-        out.append(row)
-    return out
+    live = ~is_inert(lam)[..., None, :, None]
+    scale = np.divide(1.0, ci * ci * lam[..., None, :, None], out=np.zeros(live.shape), where=live)
+    return np.where(live, raw_jacobian(image) * scale, 0.0)
 
 
-def nli(jac: Sequence[Sequence[TaylorPoly]]) -> float:
-    """Ratio of the summed unit-box bounds to the 1-norm of the constant part."""
-    num = 0.0
-    den = 0.0
-    for row in jac:
-        for entry in row:
-            num += entry.bound_linear()
-            den += abs(entry.const)
-    if den == 0.0:
+def _index_sums(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators of nu and of each directional index (nu's first), and the denominator.
+
+    An entry's |coefficients| are summed over its non-constant terms and over
+    the powers of each box variable alone; these and its |constant part| add up
+    entry by entry in row-major order, so a stack member has its lone bits.
+    """
+    nvars, size = jac.shape[-2:]
+    order = next(o for o in range(size) if math.comb(o + nvars, nvars) >= size)
+    exps = AlgebraContext(order, nvars).expmat[1:]
+    pure = 1 + np.array([np.flatnonzero(exps[:, e] == exps.sum(axis=1)) for e in range(nvars)])
+    terms = np.concatenate([np.abs(jac[..., :1]),
+                            np.abs(jac[..., 1:]).sum(axis=-1, keepdims=True),
+                            np.abs(jac[..., pure]).sum(axis=-1)], axis=-1)
+    sums = np.cumsum(terms.reshape(terms.shape[:-3] + (-1, terms.shape[-1])), axis=-2)[..., -1, :]
+    return sums[..., 1:], sums[..., 0]
+
+
+def _ratio(num, den):
+    """``num / den``, a float for a lone index; refuses a zero denominator."""
+    if np.any(den == 0.0):
         raise ValueError("nonlinearity index undefined: Jacobian constant part is zero")
-    return num / den
+    r = num / den
+    return float(r) if np.ndim(r) == 0 else r
 
 
-def directional_nli(jac: Sequence[Sequence[TaylorPoly]], e: int) -> float:
+def _direction(values: np.ndarray):
+    """Box variable (1-based) of the largest index on the last axis; ties go low."""
+    if np.any(values.max(axis=-1) <= 0.0):
+        raise ValueError("no direction carries nonlinearity; split not warranted")
+    k = 1 + np.argmax(values, axis=-1)
+    return int(k) if k.ndim == 0 else k
+
+
+def nli(jac: np.ndarray):
+    """Ratio of the summed unit-box bounds (|non-constant coefficients|) to |constant parts|."""
+    num, den = _index_sums(jac)
+    return _ratio(num[..., 0], den)
+
+
+def directional_nli(jac: np.ndarray, e: int):
     """Index of the Jacobian restricted to variations along box variable e.
 
     Equivalent to composing every entry with the vector that zeroes all
     variables but dx_e: only monomials supported exclusively on dx_e survive.
     """
-    ctx = jac[0][0].ctx
-    if not 1 <= e <= ctx.nvars:
-        raise IndexError(f"direction {e} out of range 1..{ctx.nvars}")
-    expmat = ctx.expmat
-    other = np.delete(np.arange(ctx.nvars), e - 1)
-    keep = (expmat[:, other].sum(axis=1) == 0)
-    keep[0] = False  # constant entry never contributes to the bound
-    num = 0.0
-    den = 0.0
-    for row in jac:
-        for entry in row:
-            num += float(np.abs(entry.c[keep]).sum())
-            den += abs(entry.const)
-    if den == 0.0:
-        raise ValueError("nonlinearity index undefined: Jacobian constant part is zero")
-    return num / den
+    if not 1 <= e <= jac.shape[-2]:
+        raise IndexError(f"direction {e} out of range 1..{jac.shape[-2]}")
+    num, den = _index_sums(jac)
+    return _ratio(num[..., e], den)
 
 
-def split_direction(jac: Sequence[Sequence[TaylorPoly]]) -> int:
+def split_direction(jac: np.ndarray):
     """Box variable (1-based) with the largest directional index; ties go low."""
-    ctx = jac[0][0].ctx
-    values = [directional_nli(jac, e) for e in range(1, ctx.nvars + 1)]
-    best = max(values)
-    if best <= 0.0:
-        raise ValueError("no direction carries nonlinearity; split not warranted")
-    return 1 + values.index(best)
+    num, den = _index_sums(jac)
+    return _direction(_ratio(num[..., 1:], den[..., None]))
 
 
 # -- splitting -----------------------------------------------------------------
@@ -318,6 +319,15 @@ def map_stacked(f: Callable[[DAVector], DAVector], states: Sequence[DAVector],
             yield f(state)
 
 
+@contextmanager
+def _blame(r: int, history: list[tuple[int, int]]):
+    """Re-raise a failure as a ``RuntimeError`` naming the domain's root and split history."""
+    try:
+        yield
+    except (ArithmeticError, ValueError, RuntimeError) as e:
+        raise RuntimeError(f"split loop failed on root {r}, split history {history}: {e}") from e
+
+
 def loads_gmm(f: Callable[[DAVector], DAVector], roots: Sequence[Domain],
               cfg: LoadsConfig) -> tuple[Manifold, list[DAVector]]:
     """Split every root until each subdomain's scaled-Jacobian index clears the threshold.
@@ -325,40 +335,37 @@ def loads_gmm(f: Callable[[DAVector], DAVector], roots: Sequence[Domain],
     Returns the leaves as a manifold and, index-aligned, their images under
     ``f``.  The leaves are grouped by root in root order, each root's in its
     breadth-first order.  Domains lighter than ``alpha_min`` are emitted
-    as-is without evaluating their index; emitted weights always sum to the
-    roots' weights.  A failure of the target, the index or the split
-    direction is re-raised as a ``RuntimeError`` naming the root and the
-    split history of the domain.
+    as-is, with no index; emitted weights always sum to the roots' weights.
+    A failure of the target, the index or the split direction is re-raised
+    as a ``RuntimeError`` naming the root and the split history of the
+    domain; within a stack, the target's failures come first.
     """
     stats = SplitStats()
     leaves: list[list[tuple[Domain, DAVector]]] = [[] for _ in roots]
-
-    def emit(r: int, d: Domain, y: DAVector, nu: float | None):
-        d.nli = nu
-        leaves[r].append((d, y))
-
     generation = list(enumerate(roots))
     while generation:
         stats.domains_per_generation.append(len(generation))
         children: list[tuple[int, Domain]] = []
+        splits = [0] * roots[0].state.ctx.nvars
         ys = map_stacked(f, [d.state for _, d in generation], stats)
-        for r, d in generation:
-            try:
-                y = next(ys)
-                if d.weight < cfg.alpha_min:
-                    emit(r, d, y, None)
-                    continue
-                jac = scaled_jacobian(y, d.eigvals, cfg.ci)
-                nu = nli(jac)
-                if nu < cfg.eps_nu or d.nsplits >= cfg.n_max:
-                    emit(r, d, y, nu)
-                    continue
-                k = split_direction(jac)
-            except (ArithmeticError, ValueError, RuntimeError) as exc:
-                raise RuntimeError(
-                    f"split loop failed on root {r}, split history {d.history}: {exc}"
-                ) from exc
-            children.extend((r, c) for c in split_domain(d, k, cfg.library, cfg.ci))
+        for lo in range(0, len(generation), _WIDTH):
+            chunk = generation[lo:lo + _WIDTH]
+            images = []
+            for r, d in chunk:
+                with _blame(r, d.history):
+                    images.append(next(ys))
+            jac = scaled_jacobian(DAVector.stack(images), [d.eigvals for _, d in chunk], cfg.ci)
+            num, den = _index_sums(jac)
+            for b, ((r, d), y) in enumerate(zip(chunk, images)):
+                with _blame(r, d.history):
+                    d.nli = None if d.weight < cfg.alpha_min else _ratio(num[b, 0], den[b])
+                    if d.nli is None or d.nli < cfg.eps_nu or d.nsplits >= cfg.n_max:
+                        leaves[r].append((d, y))
+                        continue
+                    k = _direction(_ratio(num[b, 1:], den[b]))
+                splits[k - 1] += 1
+                children.extend((r, c) for c in split_domain(d, k, cfg.library, cfg.ci))
+        stats.split_directions.append(splits)
         generation = children
     flat = [leaf for group in leaves for leaf in group]
     return Manifold([d for d, _ in flat], stats), [y for _, y in flat]

@@ -25,8 +25,8 @@ is the same sequence of roundings.  The kernel is chosen by array shape, and a
 member of a stack carries exactly the bits of the same polynomial computed
 alone.  Transcendental constants come from the ``math`` module member by
 member for the same reason.  The sparse coefficient-map view used by
-serialization and debugging, evaluation, composition and the range bound read
-lone polynomials.  Polynomials are immutable after construction and all
+serialization and debugging, evaluation and composition read lone
+polynomials.  Polynomials are immutable after construction and all
 operations are pure, so values can be shared freely across threads.
 """
 
@@ -511,14 +511,6 @@ class TaylorPoly:
                 term = term * pows[j][e]
             out = out + term
         return out
-
-    def bound_linear(self) -> float:
-        """Unit-box range bound: sum of |coeff| over all non-constant terms.
-
-        Exact for first-order polynomials; still a valid bound when residual
-        degree >= 2 terms are present since every |dx_k| <= 1 on the box.
-        """
-        return float(np.abs(self.c[1:]).sum())
 
     # -- intrinsics -----------------------------------------------------------
     # Series coefficients are functions of the constant part, evaluated per

@@ -58,11 +58,12 @@ class TestScaledJacobian:
     def test_identity_map_unit_eigvals(self):
         d = initial_domain(np.zeros(3), np.eye(3), ci=1.0)
         jac = scaled_jacobian(d.state, d.eigvals, ci=1.0)
+        assert jac.shape == (3, 3, d.state.ctx.size)
         for i in range(3):
             for j in range(3):
                 expected = 1.0 if i == j else 0.0
-                assert jac[i][j].const == pytest.approx(expected, abs=1e-14)
-                assert jac[i][j].bound_linear() == 0.0
+                assert jac[i, j, 0] == pytest.approx(expected, abs=1e-14)
+                assert np.abs(jac[i, j, 1:]).sum() == 0.0
 
     def test_scalar_linear_map(self):
         # f(x) = 2x with lambda = 4, ci = 3: entry is 2 / (3*2) * (1/(3*2)) ...
@@ -70,7 +71,7 @@ class TestScaledJacobian:
         d = initial_domain([0.0], np.array([[4.0]]), ci=3.0)
         y = DAVector([2.0 * d.state[0]])
         jac = scaled_jacobian(y, d.eigvals, ci=3.0)
-        assert jac[0][0].const == pytest.approx(2.0 / 6.0, abs=1e-14)
+        assert jac[0, 0, 0] == pytest.approx(2.0 / 6.0, abs=1e-14)
 
     def test_quadratic_hand_expansion(self):
         # y = x + x^2/2 about 0 with amplitude beta = ci*sqrt(lambda):
@@ -80,15 +81,15 @@ class TestScaledJacobian:
         d = initial_domain([0.0], np.array([[lam_val]]), ci=ci)
         x = d.state[0]
         y = DAVector([x + 0.5 * x * x])
-        entry = scaled_jacobian(y, d.eigvals, ci)[0][0]
-        assert entry.const == pytest.approx(1.0 / beta, rel=1e-13)
-        assert entry.coeffs()[(1,)] == pytest.approx(1.0, rel=1e-13)
+        entry = scaled_jacobian(y, d.eigvals, ci)[0, 0]
+        assert entry[0] == pytest.approx(1.0 / beta, rel=1e-13)
+        assert entry[y.ctx.index[(1,)]] == pytest.approx(1.0, rel=1e-13)
 
     def test_zero_eigenvalue_column_zeroed(self):
         d = initial_domain(np.zeros(2), np.diag([0.0, 1.0]), ci=3.0)
         y = DAVector([d.state[0] + d.state[1], d.state[1] * d.state[1] + d.state[1]])
         jac = scaled_jacobian(y, d.eigvals, 3.0)
-        assert jac[0][0].is_zero() and jac[1][0].is_zero()
+        assert not jac[0, 0].any() and not jac[1, 0].any()
 
     def test_negative_eigenvalue_rejected(self):
         ctx = AlgebraContext(2, 1)
@@ -127,9 +128,9 @@ class TestNli:
             )
             jac = raw_jacobian(y)
             num = den = 0.0
-            for row in jac:
-                for entry in row:
-                    table = entry.coeffs()
+            for row in y:
+                for j in range(2):
+                    table = row.partial(j + 1).coeffs()
                     den += abs(table.get((0, 0), 0.0))
                     num += sum(abs(v) for e, v in table.items() if sum(e) > 0)
             assert nli(jac) == pytest.approx(num / den, rel=1e-13)
@@ -146,9 +147,11 @@ class TestDirectionalNli:
     def test_two_direction_entries(self):
         ctx = AlgebraContext(2, 2)
         x1, x2 = ctx.variable(1), ctx.variable(2)
-        # J = [1 + 0.5 dx1 + 0.2 dx2] built as the Jacobian of its integral
+        # J = [1 + 0.5 dx1 + 0.2 dx2, 0]: the first column of the Jacobian
+        # of its integral, the second left zero
         y = DAVector([x1 + 0.25 * x1 * x1 + 0.2 * x2 * x1])
-        jac = [[y[0].partial(1)]]
+        jac = np.zeros((1, 2, ctx.size))
+        jac[0, 0] = y[0].partial(1).c
         assert directional_nli(jac, 1) == pytest.approx(0.5, abs=1e-14)
         assert directional_nli(jac, 2) == pytest.approx(0.2, abs=1e-14)
 
@@ -170,9 +173,9 @@ class TestDirectionalNli:
             for e in range(1, 4):
                 masked_num = 0.0
                 den = 0.0
-                for row in jac:
-                    for entry in row:
-                        for exps, v in entry.coeffs().items():
+                for row in y:
+                    for j in range(3):
+                        for exps, v in row.partial(j + 1).coeffs().items():
                             deg = sum(exps)
                             if deg == 0:
                                 den += abs(v)
@@ -230,6 +233,35 @@ class TestSplitDirection:
         ctx = AlgebraContext(2, 2)
         with pytest.raises(ValueError):
             split_direction(raw_jacobian(ctx.identity_vector()))
+
+
+class TestStackedIndex:
+    def test_stack_equals_lone(self):
+        # one call scores a stack of images, each with its own eigenvalues
+        # and an inert direction 3 that the images do not depend on; every
+        # member has the bits of its lone call
+        from orbuq.ta import TaylorPoly
+
+        rng = np.random.default_rng(12)
+        ctx = AlgebraContext(2, 4)
+        coeffs = rng.uniform(-1, 1, (7, 3, ctx.size))
+        coeffs[..., ctx.expmat[:, 2] > 0] = 0.0
+        images = [DAVector([TaylorPoly(ctx, c) for c in member]) for member in coeffs]
+        lam = rng.uniform(0.1, 2.0, (7, 4))
+        lam[:, 2] = 0.0
+        jac = scaled_jacobian(DAVector.stack(images), lam, 3.0)
+        assert jac.shape == (7, 3, 4, ctx.size)
+        nus = nli(jac)
+        dirs = [directional_nli(jac, e) for e in range(1, 5)]
+        ks = split_direction(jac)
+        assert len(set(ks.tolist())) > 1
+        for b, (y, eigvals) in enumerate(zip(images, lam)):
+            lone = scaled_jacobian(y, eigvals, 3.0)
+            assert np.array_equal(jac[b], lone)
+            assert nus[b] == nli(lone)
+            assert [d[b] for d in dirs] == [directional_nli(lone, e) for e in range(1, 5)]
+            assert dirs[2][b] == 0.0
+            assert ks[b] == split_direction(lone)
 
 
 class TestSplitDomain:
@@ -520,6 +552,21 @@ class TestSeveralRoots:
         with pytest.raises(RuntimeError, match=r"root 1, split history \[\(1, 1\)\]") as exc:
             loads_gmm(f, self.roots(), cfg)
         assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_direction_failure_names_root(self, lib3):
+        # root 1's Jacobian has only mixed second-order terms: its index is
+        # 1, yet no direction carries any of it, so it cannot be split
+        ctx3 = AlgebraContext(3, 3)
+        x1, x2, x3 = (ctx3.variable(j + 1) for j in range(3))
+        cfg = LoadsConfig(eps_nu=0.01, library=lib3)
+        roots = [initial_domain([float(c), 0.0, 0.0], 0.01 * np.eye(3), ci=3.0) for c in (0, 1)]
+
+        def f(state):
+            mixed = np.asarray(state[0].const == 1.0, dtype=np.float64)
+            return DAVector([x1 + x2 + x3 + x1 * x2 * x3 * mixed])
+
+        with pytest.raises(RuntimeError, match=r"root 1, split history \[\]: no direction"):
+            loads_gmm(f, roots, cfg)
 
 
 def test_manifold_json_roundtrip(tmp_path, lib3):

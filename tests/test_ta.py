@@ -280,27 +280,6 @@ class TestPartialEval:
             ctx.variable(1).partial(3)
 
 
-class TestBoundLinear:
-    def test_hand_values(self):
-        ctx = AlgebraContext(2, 2)
-        x1, x2 = ctx.variable(1), ctx.variable(2)
-        assert (0.3 * x1 - 0.4 * x2).bound_linear() == pytest.approx(0.7)
-        assert ctx.zero().bound_linear() == 0.0
-
-    def test_bound_dominates_box_and_is_attained_at_a_vertex(self):
-        rng = np.random.default_rng(31)
-        ctx = AlgebraContext(1, 4)
-        for _ in range(10):
-            w = rng.uniform(-1, 1, 4)
-            p = sum(w[j] * ctx.variable(j + 1) for j in range(4))
-            b = p.bound_linear()
-            samples = rng.uniform(-1, 1, size=(100_000, 4))
-            vals = p.eval_many(samples)
-            assert np.abs(vals).max() <= b + 1e-12
-            vertex = np.sign(w)
-            assert abs(abs(p.eval(vertex)) - b) < 1e-12
-
-
 class TestDerivativeConsistencyProperty:
     def test_intrinsics_partial_vs_fd_at_origin(self):
         # spec-level property: eval(partial(f(p), j), 0) vs central differences
