@@ -14,10 +14,18 @@ plain float, a numpy column of shape (N,) for a sample batch, or a Taylor
 polynomial; one code path serves all three.  The third-body, drag and SRP
 terms are written component by component.  Gravity fills the Cunningham
 table one degree at a time, each order as one array slice, and sums it with
-one fixed linear form (``_HarmonicForm``); a polynomial state goes through
-that code as a one-element object column.  Time is always a plain float (or
-float array), measured in seconds since J2000; value-dependent table lookups
-and shadow branches act on constant parts for polynomial states.
+one fixed linear form (``_HarmonicForm``); the table is kept scaled by
+per-slot constants that the form absorbs, which takes two scaling passes
+out of each degree's step.  A polynomial state goes through that code as a
+one-element object column.  Time is always a plain float (or float array),
+measured in seconds since J2000; value-dependent table lookups and shadow
+branches act on constant parts for polynomial states.
+
+``acceleration`` takes |r|, the Sun position, its distance and the
+satellite-to-Sun vector and length once per call (``_SunGeometry``) and
+hands them to the Sun's third-body term, drag and SRP; called on their own,
+those terms build the same geometry from their arguments, with the same
+bits.
 
 Units: km, kg, s; accelerations in km/s^2.  Spacecraft area is in m^2.
 """
@@ -28,6 +36,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +58,8 @@ SRP_P0 = 4.56e-6              # N/m^2 at 1 AU
 OMEGA_EARTH = 7.292115146706979e-5  # rad/s
 _ARCSEC = math.pi / (180.0 * 3600.0)
 _DEG = math.pi / 180.0
+_COS_EPS = math.cos(23.43929111 * _DEG)  # obliquity of the ecliptic
+_SIN_EPS = math.sin(23.43929111 * _DEG)
 
 
 @dataclass(frozen=True)
@@ -171,19 +182,27 @@ class _HarmonicForm:
     """Cunningham V/W table of one field and the linear form of its acceleration.
 
     ``V[n, m]`` and ``W[n, m]`` (Montenbruck & Gill, *Satellite Orbits*,
-    §3.2) fill one degree at a time: every order below the diagonal as one
-    slice,
+    §3.2) obey, below the diagonal,
 
         V[n, m] = a[n, m] z0 V[n-1, m] - b[n, m] rho V[n-2, m]   (W alike),
 
-    with a = (2n-1)/(n-m) and b = (n+m-1)/(n-m), and then the diagonal,
+    with a = (2n-1)/(n-m) and b = (n+m-1)/(n-m), and on it
 
         V[n, n] = (2n-1) (x0 V[n-1, n-1] - y0 W[n-1, n-1])
         W[n, n] = (2n-1) (x0 W[n-1, n-1] + y0 V[n-1, n-1]).
 
-    The table is packed by degree: (2, P) entries, V then W, degree n at
-    ``n(n+1)/2 + m``.  The Earth-fixed acceleration is the fixed linear form
-    ``coef`` (2P, 3) of the flattened table.
+    The table holds V/s and W/s, scaled by s[n, m] = a[n, m] s[n-1, m] below
+    the diagonal and s[n, n] = (2n-1) s[n-1, n-1] on it (s[0, 0] = 1).  The
+    factors a and 2n-1 then drop out, and one degree fills as
+
+        V/s[n, m] = z0 V/s[n-1, m] - bs[n, m] rho V/s[n-2, m],
+        bs[n, m] = b[n, m] / (a[n, m] a[n-1, m]) = (n+m-1)(n-m-1) / ((2n-1)(2n-3)),
+
+    every order below the diagonal as one slice, then the diagonal from
+    degree n-1's with no factor.  The table is packed by degree: (2, P)
+    entries, V then W, degree n at ``n(n+1)/2 + m``.  The Earth-fixed
+    acceleration is the fixed linear form ``coef`` (2P, 3) of the flattened
+    table, with s folded into it.
     """
 
     def __init__(self, fld: GravityField, mu: float):
@@ -191,12 +210,17 @@ class _HarmonicForm:
         nv = nmax + 1  # the sums read degree n+1
         at = [n * (n + 1) // 2 for n in range(nv + 2)]
         self.size = at[nv + 1]
-        a = np.zeros(self.size)
-        b = np.zeros(self.size)
+        # s as exact integer ratios, rounded once when folded into the form
+        num, den = [1] * self.size, [1] * self.size
+        bs = np.zeros(self.size)
         for n in range(1, nv + 1):
             for m in range(n):
-                a[at[n] + m] = (2 * n - 1) / (n - m)
-                b[at[n] + m] = (n + m - 1) / (n - m)
+                num[at[n] + m] = (2 * n - 1) * num[at[n - 1] + m]
+                den[at[n] + m] = (n - m) * den[at[n - 1] + m]
+                if m <= n - 2:
+                    bs[at[n] + m] = (n + m - 1) * (n - m - 1) / ((2 * n - 1) * (2 * n - 3))
+            num[at[n] + n] = (2 * n - 1) * num[at[n - 1] + n - 1]
+            den[at[n] + n] = den[at[n - 1] + n - 1]
         # one list of per-degree steps for float scalars (ndim 0) and one for
         # columns (ndim 1), whose slot constants broadcast along the rows
         self.steps = []
@@ -208,8 +232,7 @@ class _HarmonicForm:
                 prev = slice(at[n - 1], at[n - 1] + n)  # the same orders of degree n-1
                 low = slice(at[n], at[n] + n - 1)       # orders that also read degree n-2
                 prev2 = slice(at[n - 2], at[n - 2] + n - 1) if n >= 2 else None
-                steps.append((below, prev, a[below][col], low, prev2, b[low][col],
-                              at[n] + n, at[n] - 1, 2.0 * n - 1.0))
+                steps.append((below, prev, low, prev2, bs[low][col], at[n] + n, at[n] - 1))
             self.steps.append(steps)
 
         form = np.zeros((2, self.size, 3))
@@ -234,6 +257,7 @@ class _HarmonicForm:
                     v[down, 1] += fac * s
                 v[row + order, 2] -= (deg - order + 1) * c
                 w[row + order, 2] -= (deg - order + 1) * s
+        form *= np.array([p / q for p, q in zip(num, den)])[:, None]
         self.coef = form.reshape(-1, 3) * (mu / (RE_KM * RE_KM))
 
     def __call__(self, xe, ye, ze):
@@ -249,18 +273,15 @@ class _HarmonicForm:
         tab = np.empty((2, self.size) + np.shape(xe), dtype=np.result_type(x0))
         tab[0, 0] = re * rinv
         tab[1, 0] = 0.0
-        for below, prev, a, low, prev2, b, diag, last, k in self.steps[np.ndim(xe)]:
-            v = tab[:, below]
-            np.multiply(z0, tab[:, prev], out=v)
-            v *= a
+        for below, prev, low, prev2, bs, diag, last in self.steps[np.ndim(xe)]:
+            np.multiply(z0, tab[:, prev], out=tab[:, below])
             if prev2 is not None:
                 u = rho * tab[:, prev2]
-                u *= b
+                u *= bs
                 tab[:, low] -= u
             d = tab[:, diag]
             np.multiply(x0, tab[:, last], out=d)
             d += y0s * tab[::-1, last]
-            d *= k
         # without ``optimize`` einsum sums the slots in index order, so a row's
         # bits do not depend on the batch width (BLAS would block the sum)
         return np.einsum("ji,j...->i...", self.coef, tab.reshape((-1,) + np.shape(xe)))
@@ -316,16 +337,19 @@ def gravity_acceleration(r3, cfg: ForceConfig, t_s):
 
 
 def sun_position(t_s):
-    """Low-precision analytical solar position (km, equatorial inertial frame)."""
+    """Low-precision analytical solar position (km, equatorial inertial frame).
+
+    The terms in 2M come from sin M and cos M (sin 2M = 2 sin M cos M,
+    cos 2M = 1 - 2 sin^2 M): four sines and cosines per time.
+    """
     t = julian_centuries(t_s)
     m = (357.5256 + 35999.049 * t) * _DEG
-    lam = (282.9400) * _DEG + m + (6892.0 * np.sin(m) + 72.0 * np.sin(2 * m)) * _ARCSEC
-    r = (149.619 - 2.499 * np.cos(m) - 0.021 * np.cos(2 * m)) * 1.0e6
-    eps = 23.43929111 * _DEG
+    sm, cm = np.sin(m), np.cos(m)
+    lam = (282.9400) * _DEG + m + (6892.0 * sm + 72.0 * (2.0 * sm * cm)) * _ARCSEC
+    r = (149.619 - 2.499 * cm - 0.021 * (1.0 - 2.0 * sm * sm)) * 1.0e6
     x = r * np.cos(lam)
-    y = r * np.sin(lam) * math.cos(eps)
-    z = r * np.sin(lam) * math.sin(eps)
-    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+    ry = r * np.sin(lam)
+    return np.stack(np.broadcast_arrays(x, ry * _COS_EPS, ry * _SIN_EPS), axis=-1)
 
 
 def _moon_series(t_s):
@@ -471,15 +495,36 @@ def moon_position(t_s):
     return out.T
 
 
-def third_body_acceleration(r3, body_pos, mu_body):
-    """Tidal (direct minus indirect) point-mass acceleration of a third body."""
+class _SunGeometry(NamedTuple):
+    """What the Sun-dependent terms share within one force evaluation."""
+
+    rmag: object   # |r|
+    s: list        # Sun position components
+    smag: object   # |s|
+    d: list        # satellite -> Sun vector, s - r
+    dmag: object   # |d|
+
+
+def _body_geometry(r3, body_pos):
+    """A body's position components and distance, and the satellite -> body vector and length."""
     s = [body_pos[..., 0], body_pos[..., 1], body_pos[..., 2]]
     d = [s[0] - r3[0], s[1] - r3[1], s[2] - r3[2]]
-    dmag = norm3(d)
-    smag = norm3(s)
+    return s, norm3(s), d, norm3(d)
+
+
+def _sun_geometry(r3, sun, rmag=None) -> _SunGeometry:
+    return _SunGeometry(norm3(r3) if rmag is None else rmag, *_body_geometry(r3, sun))
+
+
+def _tidal(mu_body, s, smag, d, dmag):
     d3 = dmag * dmag * dmag
     s3 = smag * smag * smag
     return [mu_body * (d[j] / d3 - s[j] / s3) for j in range(3)]
+
+
+def third_body_acceleration(r3, body_pos, mu_body):
+    """Tidal (direct minus indirect) point-mass acceleration of a third body."""
+    return _tidal(mu_body, *_body_geometry(r3, body_pos))
 
 
 # -- Harris-Priester atmosphere ----------------------------------------------------
@@ -514,49 +559,64 @@ _HP_TABLE = np.array([
 ])
 
 
-def _hp_bracket(h_const):
-    idx = np.searchsorted(_HP_TABLE[:, 0], h_const, side="right") - 1
-    return np.clip(idx, 0, _HP_TABLE.shape[0] - 2)
+_HP_H, _HP_MIN, _HP_MAX = (np.ascontiguousarray(col) for col in _HP_TABLE.T)
+# each layer's scale heights (km) of the min and max density profiles
+_HP_HS_MIN = (_HP_H[:-1] - _HP_H[1:]) / np.log(_HP_MIN[1:] / _HP_MIN[:-1])
+_HP_HS_MAX = (_HP_H[:-1] - _HP_H[1:]) / np.log(_HP_MAX[1:] / _HP_MAX[:-1])
 
 
 def harris_priester_density(h_km, cos_half_psi_sq, bulge_exponent):
     """Density (kg/m^3) from altitude and the diurnal-bulge half-angle cosine.
 
-    Exponential interpolation inside each table layer; the bulge factor is
+    Exponential interpolation inside each table layer, with the layers'
+    scale heights taken once at import; the bulge factor is
     ``cos^(n)(psi/2)`` expressed through ``cos^2(psi/2)`` so polynomial states
     stay smooth.  Layer choice uses the constant part of the altitude.
     """
     hc = np.asarray(cons(h_km), dtype=np.float64)
-    if np.any(hc < _HP_TABLE[0, 0]) or np.any(hc > _HP_TABLE[-1, 0]):
+    if np.any(hc < _HP_H[0]) or np.any(hc > _HP_H[-1]):
         raise ValueError(
             f"altitude {hc} km outside the density table range "
-            f"[{_HP_TABLE[0, 0]}, {_HP_TABLE[-1, 0]}]"
+            f"[{_HP_H[0]}, {_HP_H[-1]}]"
         )
-    idx = _hp_bracket(hc)
-    h_i, rmin_i, rmax_i = (_HP_TABLE[idx, j] for j in range(3))
-    h_j, rmin_j, rmax_j = (_HP_TABLE[idx + 1, j] for j in range(3))
-    hm_scale = (h_i - h_j) / np.log(rmin_j / rmin_i)
-    hmx_scale = (h_i - h_j) / np.log(rmax_j / rmax_i)
-    rho_min = rmin_i * np.exp((h_i - h_km) / hm_scale) if not is_poly(h_km) else \
-        rmin_i * ((h_i - h_km) / hm_scale).exp()
-    rho_max = rmax_i * np.exp((h_i - h_km) / hmx_scale) if not is_poly(h_km) else \
-        rmax_i * ((h_i - h_km) / hmx_scale).exp()
+    idx = np.minimum(np.searchsorted(_HP_H, hc, side="right") - 1, _HP_H.size - 2)
+    dh = _HP_H[idx] - h_km
+    if is_poly(h_km):
+        rho_min = _HP_MIN[idx] * (dh / _HP_HS_MIN[idx]).exp()
+        rho_max = _HP_MAX[idx] * (dh / _HP_HS_MAX[idx]).exp()
+    else:
+        rho_min = _HP_MIN[idx] * np.exp(dh / _HP_HS_MIN[idx])
+        rho_max = _HP_MAX[idx] * np.exp(dh / _HP_HS_MAX[idx])
     bulge = power(cos_half_psi_sq, bulge_exponent / 2.0)
     rho = rho_min + (rho_max - rho_min) * bulge
     return rho * 1.0e-12  # g/km^3 -> kg/m^3
 
 
-def drag_acceleration(sun, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
-    """Harris-Priester drag; ``sun`` is the Sun position (km) at the epoch of r3."""
-    rmag = norm3(r3)
+_C30, _S30 = math.cos(30.0 * _DEG), math.sin(30.0 * _DEG)
+
+
+def _bulge_direction(s, smag):
+    """Unit vector of the diurnal bulge: the Sun direction turned 30 deg east about z.
+
+    That is the point at the solar right ascension + 30 deg on the solar
+    declination, with no inverse trigonometry.
+    """
+    ux, uy = s[0] / smag, s[1] / smag
+    return _C30 * ux - _S30 * uy, _S30 * ux + _C30 * uy, s[2] / smag
+
+
+def drag_acceleration(sun, r3, v3, cfg: ForceConfig, sc: SpacecraftParams, geo=None):
+    """Harris-Priester drag; ``sun`` is the Sun position (km) at the epoch of r3.
+
+    ``geo``, when given, is this call's ``_SunGeometry``, which
+    ``acceleration`` shares among the Sun-dependent terms.
+    """
+    if geo is None:
+        geo = _sun_geometry(r3, sun)
+    rmag = geo.rmag
     h_km = rmag - cfg.re_km
 
-    # diurnal bulge direction: solar RA + 30 deg lag, on the solar declination
-    s_u = sun / np.linalg.norm(sun, axis=-1, keepdims=True)
-    ra = np.arctan2(s_u[..., 1], s_u[..., 0]) + 30.0 * _DEG
-    dec = np.arcsin(s_u[..., 2])
-    bx, by, bz = np.cos(dec) * np.cos(ra), np.cos(dec) * np.sin(ra), np.sin(dec)
-
+    bx, by, bz = _bulge_direction(geo.s, geo.smag)
     cos_psi = (r3[0] * bx + r3[1] * by + r3[2] * bz) / rmag
     cos_half_sq = 0.5 * (1.0 + cos_psi)
 
@@ -583,11 +643,11 @@ def drag_acceleration(sun, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
 # -- solar radiation pressure ------------------------------------------------------
 
 
-def shadow_factor(r3, sun_pos):
+def shadow_factor(r3, sun_pos, geo=None):
     """Dual-cone illumination factor in [0, 1] with a linear penumbra ramp."""
-    d = [sun_pos[..., 0] - r3[0], sun_pos[..., 1] - r3[1], sun_pos[..., 2] - r3[2]]
-    dmag = norm3(d)
-    rmag = norm3(r3)
+    if geo is None:
+        geo = _sun_geometry(r3, sun_pos)
+    rmag, d, dmag = geo.rmag, geo.d, geo.dmag
     # apparent radii and separation of the Sun and Earth disks
     a_sun = np.arcsin(np.clip(R_SUN_KM / cons(dmag), -1, 1))
     b_earth = np.arcsin(np.clip(RE_KM / cons(rmag), -1, 1))
@@ -599,15 +659,19 @@ def shadow_factor(r3, sun_pos):
     return np.clip(nu, 0.0, 1.0)
 
 
-def srp_acceleration(sun, r3, cfg: ForceConfig, sc: SpacecraftParams):
-    """Cannonball SRP with shadow; ``sun`` is the Sun position (km) at the epoch of r3."""
-    d = [r3[0] - sun[..., 0], r3[1] - sun[..., 1], r3[2] - sun[..., 2]]
-    dmag = norm3(d)
-    nu = shadow_factor(r3, sun)
-    # P0 * Cr * A/m in m/s^2 -> km/s^2, scaled by (AU/d)^2
-    fac = nu * SRP_P0 * sc.cr * sc.area / sc.mass * 1.0e-3 * (AU_KM**2) / (dmag * dmag)
-    dunit_fac = fac / dmag
-    return [dunit_fac * d[0], dunit_fac * d[1], dunit_fac * d[2]]
+def srp_acceleration(sun, r3, cfg: ForceConfig, sc: SpacecraftParams, geo=None):
+    """Cannonball SRP with shadow; ``sun`` is the Sun position (km) at the epoch of r3.
+
+    ``geo`` is as for ``drag_acceleration``.
+    """
+    if geo is None:
+        geo = _sun_geometry(r3, sun)
+    d, dmag = geo.d, geo.dmag
+    nu = shadow_factor(r3, sun, geo)
+    # P0 * Cr * A/m in m/s^2 -> km/s^2, scaled by (AU/d)^2, along -d (away from the Sun)
+    push = SRP_P0 * sc.cr * sc.area / sc.mass * 1.0e-3 * (AU_KM**2)
+    fac = nu * -push / (dmag * dmag * dmag)
+    return [fac * d[0], fac * d[1], fac * d[2]]
 
 
 # -- total acceleration ------------------------------------------------------------
@@ -617,26 +681,27 @@ def acceleration(t_s, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
     """Total acceleration (ax, ay, az) at time t_s for position r3, velocity v3.
 
     Components may be floats, (N,) arrays or polynomials; time must be a float
-    or an (N,) float array aligned with the batch.
+    or an (N,) float array aligned with the batch.  |r| and the Sun geometry
+    are taken once and shared by the Sun's third-body term, drag and SRP.
     """
-    rmag_c = np.asarray(cons(norm3(r3)))
-    if np.any(rmag_c < cfg.re_km):
+    rmag = norm3(r3)
+    if np.any(np.asarray(cons(rmag)) < cfg.re_km):
         raise ValueError("position inside the Earth")
 
     acc = gravity_acceleration(r3, cfg, t_s)
-    # one Sun position serves the third body, the drag bulge and SRP
     if cfg.third_body_sun or cfg.drag or cfg.srp:
         sun = sun_position(t_s)
+        geo = _sun_geometry(r3, sun, rmag)
     if cfg.third_body_sun:
-        a = third_body_acceleration(r3, sun, MU_SUN)
+        a = _tidal(MU_SUN, *geo[1:])
         acc = [acc[j] + a[j] for j in range(3)]
     if cfg.third_body_moon:
         a = third_body_acceleration(r3, moon_position(t_s), MU_MOON)
         acc = [acc[j] + a[j] for j in range(3)]
     if cfg.drag:
-        a = drag_acceleration(sun, r3, v3, cfg, sc)
+        a = drag_acceleration(sun, r3, v3, cfg, sc, geo)
         acc = [acc[j] + a[j] for j in range(3)]
     if cfg.srp:
-        a = srp_acceleration(sun, r3, cfg, sc)
+        a = srp_acceleration(sun, r3, cfg, sc, geo)
         acc = [acc[j] + a[j] for j in range(3)]
     return acc

@@ -4,13 +4,14 @@ One loop splits every root :class:`Domain` (a Gaussian kernel, its eigenpairs
 and a polynomial state, its affine chart on the unit box) a generation at a
 time.  The domains of a generation go to the target in stacks of up to
 ``_WIDTH`` (a failing stack is redone member by member, which reproduces the
-lone images and errors), and each stack's images are scored in one call:
-their CI-scaled Jacobians form one float array, from which the index nu and
-the directional index along every box variable of each domain are summed with
-the bits of its lone index.  A domain whose nu clears the threshold is a leaf;
-any other is replaced by library-split children along its worst direction.
-The leaves come back grouped by root in root order, each root's in its
-breadth-first order, with their images and exactly conserved weights.
+lone images and errors), and each stack is scored in one call on the
+target's stacked image: its CI-scaled Jacobians form one float array, from
+which the index nu and the directional index along every box variable of
+each domain are summed with the bits of its lone index.  A domain whose nu
+clears the threshold is a leaf; any other is replaced by library-split
+children along its worst direction.  The leaves come back grouped by root in
+root order, each root's in its breadth-first order, with their images and
+exactly conserved weights.
 """
 
 from __future__ import annotations
@@ -293,6 +294,37 @@ def split_domain(domain: Domain, k: int, lib: SplitLibrary, ci: float
 _WIDTH = 64  # states per stacked call; wider stacks fall out of the cache
 
 
+def _stacked_chunks(f: Callable[[DAVector], DAVector], states: Sequence[DAVector],
+                    stats: SplitStats) -> Iterator[tuple[DAVector | None, Iterator[DAVector]]]:
+    """Per chunk of up to ``_WIDTH`` states: its stacked image and its members' images.
+
+    The stacked image is None where the chunk went to ``f`` member by member:
+    a chunk of one, or a stacked call that raised.  Those members' images
+    are then computed as they are drawn, so a lone call's error surfaces at
+    its own member.
+    """
+    for lo in range(0, len(states), _WIDTH):
+        chunk = states[lo:lo + _WIDTH]
+        if len(chunk) > 1:
+            stats.target_evals += len(chunk)
+            try:
+                stack = f(DAVector.stack(chunk))
+                images = stack.members(len(chunk))
+            except Exception:  # redone member by member below, which re-raises
+                stats.batch_fallbacks += 1
+            else:
+                yield stack, iter(images)
+                continue
+        yield None, _one_by_one(f, chunk, stats)
+
+
+def _one_by_one(f, chunk, stats):
+    """The lone images of a chunk, each computed when it is drawn."""
+    for state in chunk:
+        stats.target_evals += 1
+        yield f(state)
+
+
 def map_stacked(f: Callable[[DAVector], DAVector], states: Sequence[DAVector],
                 stats: SplitStats) -> Iterator[DAVector]:
     """``f(state)`` for each state in order, with one call of ``f`` per chunk.
@@ -303,20 +335,8 @@ def map_stacked(f: Callable[[DAVector], DAVector], states: Sequence[DAVector],
     error is raised where the lone call raises it, after the images before it
     have been yielded.
     """
-    for lo in range(0, len(states), _WIDTH):
-        chunk = states[lo:lo + _WIDTH]
-        if len(chunk) > 1:
-            stats.target_evals += len(chunk)
-            try:
-                images = f(DAVector.stack(chunk)).members(len(chunk))
-            except Exception:  # redone member by member below, which re-raises
-                stats.batch_fallbacks += 1
-            else:
-                yield from images
-                continue
-        for state in chunk:
-            stats.target_evals += 1
-            yield f(state)
+    for _, images in _stacked_chunks(f, states, stats):
+        yield from images
 
 
 @contextmanager
@@ -347,14 +367,18 @@ def loads_gmm(f: Callable[[DAVector], DAVector], roots: Sequence[Domain],
         stats.domains_per_generation.append(len(generation))
         children: list[tuple[int, Domain]] = []
         splits = [0] * roots[0].state.ctx.nvars
-        ys = map_stacked(f, [d.state for _, d in generation], stats)
+        chunks = _stacked_chunks(f, [d.state for _, d in generation], stats)
         for lo in range(0, len(generation), _WIDTH):
             chunk = generation[lo:lo + _WIDTH]
+            stack, ys = next(chunks)
             images = []
             for r, d in chunk:
                 with _blame(r, d.history):
                     images.append(next(ys))
-            jac = scaled_jacobian(DAVector.stack(images), [d.eigvals for _, d in chunk], cfg.ci)
+            # the target's own stack, restacked only where it ran member by member
+            if stack is None:
+                stack = DAVector.stack(images)
+            jac = scaled_jacobian(stack, [d.eigvals for _, d in chunk], cfg.ci)
             num, den = _index_sums(jac)
             for b, ((r, d), y) in enumerate(zip(chunk, images)):
                 with _blame(r, d.history):

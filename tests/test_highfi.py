@@ -23,7 +23,7 @@ from orbuq.forces import (
     shadow_factor,
     sun_position,
 )
-from orbuq.generic import norm3, sqrt
+from orbuq.generic import cons, cross3, is_poly, norm3, power, sqrt
 from orbuq.highfi import (
     gauss_equations_mee,
     make_cartesian_rhs,
@@ -33,7 +33,7 @@ from orbuq.highfi import (
 )
 from orbuq.integrate import IntegratorConfig, integrate_batch, integrate_fixed
 from orbuq.ta import AlgebraContext, DAVector
-from orbuq.timeutil import DAY_S, jday_from_iso, seconds_since_j2000
+from orbuq.timeutil import DAY_S, jday_from_iso, julian_centuries, seconds_since_j2000
 
 MU = 398600.4355
 SC = SpacecraftParams()
@@ -445,6 +445,179 @@ class TestHarrisPriester:
         y0 = np.array([6678.0, 0, 0, 0, math.sqrt(MU / 6678.0), 0])
         y1 = propagate_hf(y0, EPOCH_2021, EPOCH_2021 + 2 * period(6678.0), cfg)
         assert energy_two_body(y1) < energy_two_body(y0)
+
+
+def _oracle_sun_position(t_s):
+    """The solar series that takes sin 2M and cos 2M directly."""
+    t = julian_centuries(t_s)
+    m = (357.5256 + 35999.049 * t) * forces._DEG
+    lam = 282.9400 * forces._DEG + m + (6892.0 * np.sin(m) + 72.0 * np.sin(2 * m)) * forces._ARCSEC
+    r = (149.619 - 2.499 * np.cos(m) - 0.021 * np.cos(2 * m)) * 1.0e6
+    eps = 23.43929111 * forces._DEG
+    x = r * np.cos(lam)
+    y = r * np.sin(lam) * math.cos(eps)
+    z = r * np.sin(lam) * math.sin(eps)
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
+def _oracle_bulge(sun):
+    """Bulge direction at the solar right ascension + 30 deg, on the solar declination."""
+    s_u = sun / np.linalg.norm(sun, axis=-1, keepdims=True)
+    ra = np.arctan2(s_u[..., 1], s_u[..., 0]) + 30.0 * forces._DEG
+    dec = np.arcsin(s_u[..., 2])
+    return np.cos(dec) * np.cos(ra), np.cos(dec) * np.sin(ra), np.sin(dec)
+
+
+def _oracle_density(h_km, cos_half_psi_sq, bulge_exponent):
+    """Harris-Priester density with each layer's scale heights taken per call."""
+    table = forces._HP_TABLE
+    idx = np.clip(np.searchsorted(table[:, 0], np.asarray(cons(h_km)), side="right") - 1,
+                  0, table.shape[0] - 2)
+    h_i, rmin_i, rmax_i = (table[idx, j] for j in range(3))
+    h_j, rmin_j, rmax_j = (table[idx + 1, j] for j in range(3))
+    hm_scale = (h_i - h_j) / np.log(rmin_j / rmin_i)
+    hmx_scale = (h_i - h_j) / np.log(rmax_j / rmax_i)
+    if is_poly(h_km):
+        rho_min = rmin_i * ((h_i - h_km) / hm_scale).exp()
+        rho_max = rmax_i * ((h_i - h_km) / hmx_scale).exp()
+    else:
+        rho_min = rmin_i * np.exp((h_i - h_km) / hm_scale)
+        rho_max = rmax_i * np.exp((h_i - h_km) / hmx_scale)
+    bulge = power(cos_half_psi_sq, bulge_exponent / 2.0)
+    return (rho_min + (rho_max - rho_min) * bulge) * 1.0e-12
+
+
+def _oracle_drag(sun, r3, v3, cfg, sc):
+    """Harris-Priester drag with the trigonometric bulge and per-call scale heights."""
+    rmag = norm3(r3)
+    bx, by, bz = _oracle_bulge(sun)
+    cos_psi = (r3[0] * bx + r3[1] * by + r3[2] * bz) / rmag
+    hvec = cross3([cons(r3[0]), cons(r3[1]), cons(r3[2])],
+                  [cons(v3[0]), cons(v3[1]), cons(v3[2])])
+    hnorm = np.sqrt(hvec[0] ** 2 + hvec[1] ** 2 + hvec[2] ** 2)
+    inc = np.arccos(np.clip(hvec[2] / hnorm, -1.0, 1.0))
+    inc = np.minimum(inc, math.pi - inc)
+    rho = _oracle_density(rmag - cfg.re_km, 0.5 * (1.0 + cos_psi),
+                          2.0 + 4.0 * inc / (0.5 * math.pi))
+    vrx = v3[0] + forces.OMEGA_EARTH * r3[1]
+    vry = v3[1] - forces.OMEGA_EARTH * r3[0]
+    vrz = v3[2]
+    vr = sqrt(vrx * vrx + vry * vry + vrz * vrz)
+    fac = -500.0 * sc.cd * sc.area / sc.mass * rho * vr
+    return [fac * vrx, fac * vry, fac * vrz]
+
+
+def _leo_states(width, seed):
+    """Columns of LEO positions (200-900 km up) and velocities of all inclinations."""
+    rng = np.random.default_rng(seed)
+    r = rng.normal(size=(3, width))
+    r /= np.linalg.norm(r, axis=0)
+    v = np.cross(r.T, rng.normal(size=(width, 3))).T
+    v *= 7.6 / np.linalg.norm(v, axis=0)
+    r *= forces.RE_KM + rng.uniform(200.0, 900.0, width)
+    return list(r), list(v), EPOCH_2021 + rng.uniform(0.0, 86400.0, width)
+
+
+def _poly_state(pos, vel):
+    ctx = AlgebraContext(2, 6)
+    state = DAVector.affine(ctx, list(pos) + list(vel),
+                            np.diag([1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3]))
+    return list(state)[:3], list(state)[3:]
+
+
+class TestSunAndDragRewrites:
+    """The Sun series and the drag bulge against the forms they replaced."""
+
+    YEAR = EPOCH_2021 + np.linspace(0.0, 365.25 * DAY_S, 2000)
+
+    def test_sun_series_matches_oracle(self):
+        ref = _oracle_sun_position(self.YEAR)
+        got = sun_position(self.YEAR)
+        scale = np.linalg.norm(ref, axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-15 * scale)
+        for t in self.YEAR[::97]:
+            np.testing.assert_array_equal(sun_position(float(t)), sun_position(t[None])[0])
+
+    def test_bulge_direction_matches_oracle(self):
+        sun = sun_position(self.YEAR)
+        s = [sun[:, 0], sun[:, 1], sun[:, 2]]
+        got = np.array(forces._bulge_direction(s, norm3(s)))
+        assert np.all(np.abs(got - np.array(_oracle_bulge(sun))) <= 1e-15)
+
+    def test_drag_matches_oracle_on_floats_and_columns(self):
+        cfg = ForceConfig(drag=True)
+        r3, v3, t = _leo_states(4096, 21)
+        sun = sun_position(t)
+        _assert_rows_close(forces.drag_acceleration(sun, r3, v3, cfg, SC),
+                           _oracle_drag(sun, r3, v3, cfg, SC))
+        for i in range(0, 4096, 409):
+            row_r, row_v = [float(c[i]) for c in r3], [float(c[i]) for c in v3]
+            sun_i = sun_position(float(t[i]))
+            _assert_rows_close(forces.drag_acceleration(sun_i, row_r, row_v, cfg, SC),
+                               _oracle_drag(sun_i, row_r, row_v, cfg, SC))
+
+    def test_drag_matches_oracle_on_polynomials(self):
+        # coefficient by coefficient, relative to the largest of the three
+        # components' coefficients of that monomial
+        cfg = ForceConfig(drag=True)
+        r3, v3, t = _leo_states(4, 22)
+        for i in range(4):
+            pos, vel = _poly_state([c[i] for c in r3], [c[i] for c in v3])
+            sun = sun_position(float(t[i]))
+            got = forces.drag_acceleration(sun, pos, vel, cfg, SC)
+            ref = _oracle_drag(sun, pos, vel, cfg, SC)
+            _assert_rows_close([p.c for p in got], [p.c for p in ref])
+
+
+class TestSharedGeometry:
+    """``acceleration`` shares |r| and the Sun geometry among its terms; the
+    terms called alone, on their public arguments, sum to the same."""
+
+    CFG = ForceConfig(drag=True, srp=True)
+
+    @staticmethod
+    def _penumbra(t):
+        # where the Earth's limb meets the Sun's centre, 500 km up: nu near 1/2
+        u = sun_position(t)
+        u = u / np.linalg.norm(u)
+        w = np.cross(u, [0.0, 0.0, 1.0])
+        w /= np.linalg.norm(w)
+        radius = forces.RE_KM + 500.0
+        phi = math.asin(forces.RE_KM / radius)
+        pos = radius * (-math.cos(phi) * u + math.sin(phi) * w)
+        nu = shadow_factor(list(pos), sun_position(t))
+        assert 0.0 < nu < 1.0
+        return list(pos), list(7.6 * np.cross(w, u))
+
+    def _terms(self, t, r3, v3):
+        sun = sun_position(t)
+        own = [forces.gravity_acceleration(r3, self.CFG, t),
+               forces.third_body_acceleration(r3, sun, forces.MU_SUN),
+               forces.third_body_acceleration(r3, moon_position(t), forces.MU_MOON),
+               forces.drag_acceleration(sun, r3, v3, self.CFG, SC),
+               forces.srp_acceleration(sun, r3, self.CFG, SC)]
+        total = own[0]
+        for a in own[1:]:
+            total = [total[j] + a[j] for j in range(3)]
+        return total
+
+    def test_floats_and_columns(self):
+        r3, v3, t = _leo_states(4096, 23)
+        pos, vel = self._penumbra(float(t[7]))
+        for j in range(3):
+            r3[j][7], v3[j][7] = pos[j], vel[j]
+        _assert_rows_close(acceleration(t, r3, v3, self.CFG, SC), self._terms(t, r3, v3),
+                           rtol=1e-15)
+        for i in (0, 7, 4095):
+            row_r, row_v = [float(c[i]) for c in r3], [float(c[i]) for c in v3]
+            _assert_rows_close(acceleration(float(t[i]), row_r, row_v, self.CFG, SC),
+                               self._terms(float(t[i]), row_r, row_v), rtol=1e-15)
+
+    def test_polynomial_state_in_penumbra(self):
+        pos, vel = _poly_state(*self._penumbra(EPOCH_2021))
+        got = acceleration(EPOCH_2021, pos, vel, self.CFG, SC)
+        ref = self._terms(EPOCH_2021, pos, vel)
+        _assert_rows_close([p.c for p in got], [p.c for p in ref], rtol=1e-15)
 
 
 class TestPropagateHf:

@@ -537,6 +537,29 @@ class TestSeveralRoots:
             np.testing.assert_array_equal(got[0].c, ref[0].c)
         assert m_in.total_weight() == pytest.approx(1.0, abs=1e-15)
 
+    def test_scores_the_targets_own_stack(self, lib3, monkeypatch):
+        # each generation is stacked once, for the target, and scored on the
+        # target's stacked image; only a chunk redone member by member (here
+        # the first generation's) is stacked again to be scored
+        cfg = LoadsConfig(eps_nu=0.01, library=lib3, alpha_min=1e-12)
+        ref, _ = loads_gmm(quadratic_scalar_map, self.roots(), cfg)
+        stack, widths = DAVector.stack, []
+
+        def counted(cls, vectors):
+            widths.append(len(vectors))
+            return stack(vectors)
+
+        def f(state):
+            if state[0].c.shape[1:] == (3,):
+                raise ValueError("no stacked image")
+            return quadratic_scalar_map(state)
+
+        monkeypatch.setattr(DAVector, "stack", classmethod(counted))
+        m_in, _ = loads_gmm(f, self.roots(), cfg)
+        assert widths == [3, 3, 6, 9]
+        assert m_in.stats.batch_fallbacks == 1
+        assert [(d.history, d.nli) for d in m_in] == [(d.history, d.nli) for d in ref]
+
     def test_failure_names_root_and_history(self, lib3):
         # the target fails on the middle child of root 1 (centred on 1.0,
         # narrower than the root): the error names that domain and chains
