@@ -644,7 +644,10 @@ def drag_acceleration(sun, r3, v3, cfg: ForceConfig, sc: SpacecraftParams, geo=N
 
 
 def shadow_factor(r3, sun_pos, geo=None):
-    """Dual-cone illumination factor in [0, 1] with a linear penumbra ramp."""
+    """Dual-cone illumination factor in [0, 1] with a linear penumbra ramp.
+
+    ``geo`` is as for ``drag_acceleration``.
+    """
     if geo is None:
         geo = _sun_geometry(r3, sun_pos)
     rmag, d, dmag = geo.rmag, geo.d, geo.dmag
@@ -693,7 +696,7 @@ def acceleration(t_s, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
         sun = sun_position(t_s)
         geo = _sun_geometry(r3, sun, rmag)
     if cfg.third_body_sun:
-        a = _tidal(MU_SUN, *geo[1:])
+        a = _tidal(MU_SUN, geo.s, geo.smag, geo.d, geo.dmag)
         acc = [acc[j] + a[j] for j in range(3)]
     if cfg.third_body_moon:
         a = third_body_acceleration(r3, moon_position(t_s), MU_MOON)
