@@ -11,8 +11,15 @@ Every conversion runs through the cartesian hub and is written against the
 columns (one row per element) and DA states, lone or stacked.  Decisions on
 constant parts go through :func:`~orbuq.generic.branch`: columns or stack
 members that disagree raise :class:`~orbuq.generic.MixedBranch`, and the
-caller converts them one at a time.  Cartesian extraction of the equinoctial
-family avoids materializing singular Keplerian angles: exactly-circular and
+caller converts them one at a time.  Both Kepler equations (anomaly and
+equinoctial longitude) are solved per member on floats and lifted to the
+polynomial by :func:`~orbuq.generic.newton_lift`.
+
+Each in-plane relation is written once and shared by the conversions and the
+lam <-> L swap: the state prefix (h, a, e-vector) of a cartesian state, the
+position at true longitude L, the position at eccentric longitude F, and lam
+from an in-plane position.  Cartesian extraction of the equinoctial family
+avoids materializing singular Keplerian angles: exactly-circular and
 exactly-equatorial orbits convert cleanly.  Keplerian extraction falls back
 to zero-angle conventions below ``e < 1e-10`` or ``sin(i) < 1e-10`` and
 reports the convention in the flags that ``convert_values`` returns.
@@ -29,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generic import atan2, branch, cons, cos, cross3, dot3, each, is_poly, norm3, sin, sqrt
+from .generic import (
+    atan2, branch, cons, cos, cross3, dot3, each, is_poly, newton_lift, norm3, sin, sqrt,
+)
 
 __all__ = [
     "ElemKind", "FastVar", "ElementSet",
@@ -97,15 +106,6 @@ def rebranch_near(angle, ref):
 # -- Kepler solvers ------------------------------------------------------------
 
 
-def _poly_args(*args) -> bool:
-    return any(is_poly(a) for a in args)
-
-
-def _newton_iters_for(order: int) -> int:
-    # Newton doubles the resolved nilpotent degree each pass
-    return max(2, math.ceil(math.log2(order + 1)) + 1)
-
-
 def _kepler_float(mbar: float, ebar: float, tol: float, max_iter: int) -> float:
     if not 0.0 <= ebar < 1.0:
         raise ValueError(f"eccentricity {ebar} outside [0, 1)")
@@ -121,24 +121,20 @@ def _kepler_float(mbar: float, ebar: float, tol: float, max_iter: int) -> float:
     return big_e
 
 
+def _kepler_step(big_e, M, e):
+    """Newton correction of E - e*sin(E) = M at E."""
+    return -((big_e - e * sin(big_e) - M) / (1.0 - e * cos(big_e)))
+
+
 def kepler_solve(M, e, tol: float = 1e-13, max_iter: int = 50):
     """Eccentric anomaly E with E - e*sin(E) = M (elliptic only).
 
     Scalar Newton on the constant part, element by element for float arrays
-    and stacks, then fixed polynomial Newton passes when the inputs carry a
-    nilpotent part.
+    and stacks, then lifted to the polynomial by ``newton_lift`` when the
+    inputs carry a nilpotent part.
     """
-    mbar, ebar = cons(M), cons(e)
-    big_e = each(_kepler_float, mbar, ebar, tol, max_iter)
-    if not _poly_args(M, e):
-        return big_e
-    ctx = (M if is_poly(M) else e).ctx
-    ep = e if is_poly(e) else ctx.constant(ebar)
-    mp = M if is_poly(M) else ctx.constant(mbar)
-    ee = ctx.constant(big_e)
-    for _ in range(_newton_iters_for(ctx.order)):
-        ee = ee - (ee - ep * sin(ee) - mp) / (1.0 - ep * cos(ee))
-    return ee
+    big_e = each(_kepler_float, cons(M), cons(e), tol, max_iter)
+    return newton_lift(big_e, _kepler_step, M, e)
 
 
 def _kepler_equinoctial_float(lbar: float, fbar: float, gbar: float, tol: float,
@@ -156,25 +152,20 @@ def _kepler_equinoctial_float(lbar: float, fbar: float, gbar: float, tol: float,
     return big_f
 
 
+def _kepler_equinoctial_step(big_f, lam, f, g):
+    """Newton correction of F + g*cos(F) - f*sin(F) = lam at F."""
+    cf, sf = cos(big_f), sin(big_f)
+    return -((big_f + g * cf - f * sf - lam) / (1.0 - g * sf - f * cf))
+
+
 def kepler_equinoctial_solve(lam, f, g, tol: float = 1e-13, max_iter: int = 50):
     """Eccentric longitude F with F + g*cos(F) - f*sin(F) = lam.
 
-    Float arrays and stacks are solved element by element.
+    Float arrays and stacks are solved element by element, then lifted like
+    ``kepler_solve``.
     """
-    fbar, gbar, lbar = cons(f), cons(g), cons(lam)
-    big_f = each(_kepler_equinoctial_float, lbar, fbar, gbar, tol, max_iter)
-    if not _poly_args(lam, f, g):
-        return big_f
-    ctx = next(a.ctx for a in (lam, f, g) if is_poly(a))
-    fp = f if is_poly(f) else ctx.constant(fbar)
-    gp = g if is_poly(g) else ctx.constant(gbar)
-    lp = lam if is_poly(lam) else ctx.constant(lbar)
-    ff = ctx.constant(big_f)
-    for _ in range(_newton_iters_for(ctx.order)):
-        ff = ff - (ff + gp * cos(ff) - fp * sin(ff) - lp) / (
-            1.0 - gp * sin(ff) - fp * cos(ff)
-        )
-    return ff
+    big_f = each(_kepler_equinoctial_float, cons(lam), cons(f), cons(g), tol, max_iter)
+    return newton_lift(big_f, _kepler_equinoctial_step, lam, f, g)
 
 
 # -- core cartesian <-> equinoctial machinery -----------------------------------
@@ -189,26 +180,30 @@ def _eqx_frame(h, k):
     return fhat, ghat
 
 
-def cart_to_eqx_core(rv, mu):
-    """(a, f, g, h, k, X, Y, true L) from a cartesian state; no singular angles."""
+def _state_prefix(rv, mu):
+    """(r, h, |h|, a, e-vector) of a cartesian state: angular momentum h,
+    semimajor axis a and eccentricity vector."""
     r = rv[:3]
     v = rv[3:]
     rmag = norm3(r)
     v2 = dot3(v, v)
     hvec = cross3(r, v)
     hmag = norm3(hvec)
+    a = 1.0 / (2.0 / rmag - v2 / mu)
+    rdotv = dot3(r, v)
+    evec = [((v2 - mu / rmag) * r[j] - rdotv * v[j]) / mu for j in range(3)]
+    return r, hvec, hmag, a, evec
+
+
+def cart_to_eqx_core(rv, mu):
+    """(a, f, g, h, k, X, Y, true L) from a cartesian state; no singular angles."""
+    r, hvec, hmag, a, evec = _state_prefix(rv, mu)
     wz = hvec[2] / hmag
     den = 1.0 + wz
     if branch(cons(den) <= 1e-12):
         raise ValueError("retrograde equatorial geometry (i = pi) is singular")
     hq = -(hvec[1] / hmag) / den
     kq = (hvec[0] / hmag) / den
-    a = 1.0 / (2.0 / rmag - v2 / mu)
-    rdotv = dot3(r, v)
-    evec = [
-        ((v2 - mu / rmag) * r[j] - rdotv * v[j]) / mu
-        for j in range(3)
-    ]
     fhat, ghat = _eqx_frame(hq, kq)
     fq = dot3(evec, fhat)
     gq = dot3(evec, ghat)
@@ -218,11 +213,34 @@ def cart_to_eqx_core(rv, mu):
     return a, fq, gq, hq, kq, x_pl, y_pl, big_l
 
 
-def _ecc_longitude_from_plane(a, f, g, x_pl, y_pl):
-    """Invert the in-plane position for the eccentric longitude F."""
+def _plane_at_true_longitude(a, f, g, big_l):
+    """In-plane position (X, Y) at true longitude L, with p = a (1 - f^2 - g^2),
+    cos L and sin L."""
+    cl, sl = cos(big_l), sin(big_l)
+    p = a * (1.0 - f * f - g * g)
+    rmag = p / (1.0 + f * cl + g * sl)
+    return rmag * cl, rmag * sl, p, cl, sl
+
+
+def _plane_at_ecc_longitude(a, f, g, big_f):
+    """In-plane position (X, Y) at eccentric longitude F, with cos F, sin F and
+    b = 1 / (1 + sqrt(1 - f^2 - g^2))."""
+    cf, sf = cos(big_f), sin(big_f)
     e2 = f * f + g * g
-    root = sqrt(1.0 - e2)
-    b = 1.0 / (1.0 + root)
+    b = 1.0 / (1.0 + sqrt(1.0 - e2))
+    x_pl = a * ((1.0 - g * g * b) * cf + f * g * b * sf - f)
+    y_pl = a * ((1.0 - f * f * b) * sf + f * g * b * cf - g)
+    return x_pl, y_pl, cf, sf, b
+
+
+def _mean_longitude_from_plane(a, f, g, x_pl, y_pl, ref):
+    """Mean longitude lam at in-plane position (X, Y), on the branch nearest ref.
+
+    Inverts ``_plane_at_ecc_longitude`` for the eccentric longitude F, then
+    takes lam from Kepler's equation.
+    """
+    e2 = f * f + g * g
+    b = 1.0 / (1.0 + sqrt(1.0 - e2))
     m11 = 1.0 - g * g * b
     m12 = f * g * b
     m22 = 1.0 - f * f * b
@@ -231,41 +249,30 @@ def _ecc_longitude_from_plane(a, f, g, x_pl, y_pl):
     ry = y_pl / a + g
     cosf = (m22 * rx - m12 * ry) / det
     sinf = (m11 * ry - m12 * rx) / det
-    return atan2(sinf, cosf)
+    big_f = atan2(sinf, cosf)
+    lam = big_f + g * cos(big_f) - f * sin(big_f)
+    return rebranch_near(lam, ref)
 
 
 def cart_to_eqx(rv, mu, fast: FastVar):
     a, fq, gq, hq, kq, x_pl, y_pl, big_l = cart_to_eqx_core(rv, mu)
     if fast is FastVar.TRUE_LONGITUDE:
         return [a, fq, gq, hq, kq, big_l]
-    big_f = _ecc_longitude_from_plane(a, fq, gq, x_pl, y_pl)
-    lam = big_f + gq * cos(big_f) - fq * sin(big_f)
-    lam = rebranch_near(lam, big_l)
-    return [a, fq, gq, hq, kq, lam]
+    return [a, fq, gq, hq, kq, _mean_longitude_from_plane(a, fq, gq, x_pl, y_pl, big_l)]
 
 
 def eqx_to_cart(vals, mu, fast: FastVar):
     a, f, g, h, k, fastv = vals
     fhat, ghat = _eqx_frame(h, k)
     if fast is FastVar.TRUE_LONGITUDE:
-        big_l = fastv
-        p = a * (1.0 - f * f - g * g)
-        w = 1.0 + f * cos(big_l) + g * sin(big_l)
-        rmag = p / w
-        x_pl = rmag * cos(big_l)
-        y_pl = rmag * sin(big_l)
+        x_pl, y_pl, p, cl, sl = _plane_at_true_longitude(a, f, g, fastv)
         smup = sqrt(mu / p)
-        xd = -smup * (g + sin(big_l))
-        yd = smup * (f + cos(big_l))
+        xd = -smup * (g + sl)
+        yd = smup * (f + cl)
     else:
         big_f = kepler_equinoctial_solve(fastv, f, g)
-        e2 = f * f + g * g
-        root = sqrt(1.0 - e2)
-        b = 1.0 / (1.0 + root)
+        x_pl, y_pl, cf, sf, b = _plane_at_ecc_longitude(a, f, g, big_f)
         n = sqrt(mu / (a * a * a))
-        cf, sf = cos(big_f), sin(big_f)
-        x_pl = a * ((1.0 - g * g * b) * cf + f * g * b * sf - f)
-        y_pl = a * ((1.0 - f * f * b) * sf + f * g * b * cf - g)
         rmag = a * (1.0 - f * cf - g * sf)
         fac = a * a * n / rmag
         xd = fac * (f * g * b * cf - (1.0 - g * g * b) * sf)
@@ -318,17 +325,9 @@ def cart_to_kep(rv, mu):
     nonzero deviations) raise, since no smooth Keplerian chart exists there.
     """
     flags: list[str] = []
-    r = rv[:3]
-    v = rv[3:]
-    rmag = norm3(r)
-    v2 = dot3(v, v)
-    hvec = cross3(r, v)
-    a = 1.0 / (2.0 / rmag - v2 / mu)
-    rdotv = dot3(r, v)
-    evec = [((v2 - mu / rmag) * r[j] - rdotv * v[j]) / mu for j in range(3)]
+    r, hvec, hmag, a, evec = _state_prefix(rv, mu)
 
     hxy2 = hvec[0] * hvec[0] + hvec[1] * hvec[1]
-    hmag = norm3(hvec)
     equatorial = branch(np.sqrt(np.maximum(cons(hxy2), 0.0)) < _SINGULAR_I * cons(hmag))
     e2 = dot3(evec, evec)
     circular = branch(np.sqrt(np.maximum(cons(e2), 0.0)) < _SINGULAR_E)
@@ -423,23 +422,12 @@ def _swap_fast_variable(vals, kind: ElemKind, src_fast: FastVar, dst_fast: FastV
     if src_fast is FastVar.MEAN_LONGITUDE:
         a = _semimajor_axis(a_like, f, g, kind, mu)
         big_f = kepler_equinoctial_solve(fast, f, g)
-        cf, sf = cos(big_f), sin(big_f)
-        e2 = f * f + g * g
-        b = 1.0 / (1.0 + sqrt(1.0 - e2))
-        x_pl = a * ((1.0 - g * g * b) * cf + f * g * b * sf - f)
-        y_pl = a * ((1.0 - f * f * b) * sf + f * g * b * cf - g)
-        big_l = atan2(y_pl, x_pl)
-        new_fast = rebranch_near(big_l, fast)
+        x_pl, y_pl = _plane_at_ecc_longitude(a, f, g, big_f)[:2]
+        new_fast = rebranch_near(atan2(y_pl, x_pl), fast)
     else:
-        # true -> mean: recover in-plane position at unit scale
-        p_over_a = 1.0 - f * f - g * g
-        w = 1.0 + f * cos(fast) + g * sin(fast)
-        rmag_over_a = p_over_a / w
-        x_pl = rmag_over_a * cos(fast)
-        y_pl = rmag_over_a * sin(fast)
-        big_f = _ecc_longitude_from_plane(1.0, f, g, x_pl, y_pl)
-        lam = big_f + g * cos(big_f) - f * sin(big_f)
-        new_fast = rebranch_near(lam, fast)
+        # true -> mean: the in-plane position at unit scale
+        x_pl, y_pl = _plane_at_true_longitude(1.0, f, g, fast)[:2]
+        new_fast = _mean_longitude_from_plane(1.0, f, g, x_pl, y_pl, fast)
     return [a_like, f, g, h, k, new_fast]
 
 

@@ -155,17 +155,6 @@ def load_gravity_field(path: str | Path | None = None, nmax: int = 8) -> Gravity
     return GravityField(cbar, sbar, nmax)
 
 
-_FIELD_CACHE: dict[tuple, GravityField] = {}
-
-
-def _field_for(cfg: ForceConfig) -> GravityField:
-    key = (cfg.gravity_path, cfg.degree, cfg.order)
-    if key not in _FIELD_CACHE:
-        base = load_gravity_field(cfg.gravity_path, nmax=max(cfg.degree, 1))
-        _FIELD_CACHE[key] = base.truncated(cfg.degree, cfg.order)
-    return _FIELD_CACHE[key]
-
-
 def gmst_angle(t_s):
     """Greenwich mean sidereal time (rad) from seconds since J2000 (UT1=TDB here)."""
     tut1 = t_s / (DAY_S * 36525.0)
@@ -294,7 +283,8 @@ _BLOCK = 1024  # most rows per V/W table: bounds the work set of large batches
 def _form_for(cfg: ForceConfig) -> _HarmonicForm:
     key = (cfg.gravity_path, cfg.degree, cfg.order, cfg.mu)
     if key not in _FORM_CACHE:
-        _FORM_CACHE[key] = _HarmonicForm(_field_for(cfg), cfg.mu)
+        base = load_gravity_field(cfg.gravity_path, nmax=max(cfg.degree, 1))
+        _FORM_CACHE[key] = _HarmonicForm(base.truncated(cfg.degree, cfg.order), cfg.mu)
     return _FORM_CACHE[key]
 
 
@@ -571,14 +561,15 @@ def harris_priester_density(h_km, cos_half_psi_sq, bulge_exponent):
     Exponential interpolation inside each table layer, with the layers'
     scale heights taken once at import; the bulge factor is
     ``cos^(n)(psi/2)`` expressed through ``cos^2(psi/2)`` so polynomial states
-    stay smooth.  Layer choice uses the constant part of the altitude.
+    stay smooth.  Layer choice uses the constant part of the altitude.  Above
+    the table's top the model has no atmosphere: the density is 0 there (a
+    zero polynomial, or 0 in those rows or members).  Below its floor it
+    raises.
     """
     hc = np.asarray(cons(h_km), dtype=np.float64)
-    if np.any(hc < _HP_H[0]) or np.any(hc > _HP_H[-1]):
-        raise ValueError(
-            f"altitude {hc} km outside the density table range "
-            f"[{_HP_H[0]}, {_HP_H[-1]}]"
-        )
+    if np.any(hc < _HP_H[0]):
+        raise ValueError(f"altitude {hc} km below the density table's floor {_HP_H[0]} km")
+    above = hc > _HP_H[-1]
     idx = np.minimum(np.searchsorted(_HP_H, hc, side="right") - 1, _HP_H.size - 2)
     dh = _HP_H[idx] - h_km
     if is_poly(h_km):
@@ -588,8 +579,10 @@ def harris_priester_density(h_km, cos_half_psi_sq, bulge_exponent):
         rho_min = _HP_MIN[idx] * np.exp(dh / _HP_HS_MIN[idx])
         rho_max = _HP_MAX[idx] * np.exp(dh / _HP_HS_MAX[idx])
     bulge = power(cos_half_psi_sq, bulge_exponent / 2.0)
-    rho = rho_min + (rho_max - rho_min) * bulge
-    return rho * 1.0e-12  # g/km^3 -> kg/m^3
+    rho = (rho_min + (rho_max - rho_min) * bulge) * 1.0e-12  # g/km^3 -> kg/m^3
+    if above.any():
+        rho = rho * np.where(above, 0.0, 1.0)
+    return rho
 
 
 _C30, _S30 = math.cos(30.0 * _DEG), math.sin(30.0 * _DEG)

@@ -13,6 +13,10 @@ float column, holds one value per member, so a condition on it is an array:
 one at a time.  Float computations on constant parts that are not plain
 arithmetic (Newton loops, whole-turn counts, series coefficients) go through
 ``each``, which runs the float code member by member.
+
+An implicit relation (the Kepler equations) is solved on the constant parts
+by ``each`` and carried to the polynomial by ``newton_lift``, the one loop of
+fixed polynomial Newton passes in the package.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from .ta import DAVector, TaylorPoly
 
 __all__ = [
-    "MixedBranch", "branch", "each", "cons", "is_poly", "sqrt", "sin", "cos",
+    "MixedBranch", "branch", "each", "newton_lift", "cons", "is_poly", "sqrt", "sin", "cos",
     "tan", "exp", "log", "atan", "atan2", "asin", "power", "absval", "norm3",
     "dot3", "cross3",
 ]
@@ -71,6 +75,27 @@ def each(fn, *args):
         return (a if a.shape == shape else np.broadcast_to(a, shape)).ravel().tolist()
 
     return np.array([fn(*v) for v in zip(*map(column, args))]).reshape(shape)
+
+
+def newton_lift(root, step, *args):
+    """The root of an equation in x, lifted from its constant part to the polynomial.
+
+    ``root`` solves the equation on the constant parts of ``args`` (from
+    ``each``); ``step(x, *args)`` is the Newton correction at x.  With no
+    polynomial among ``args`` the root is returned as it is.  Otherwise the
+    float arguments and the root become constant polynomials, and
+    ``max(2, order.bit_length() + 1)`` passes of ``x = x + step(x, *args)``
+    run.  Each pass doubles the degree to which x is resolved, so that is one
+    pass more than the algebra's order needs.
+    """
+    ctx = next((a.ctx for a in args if isinstance(a, TaylorPoly)), None)
+    if ctx is None:
+        return root
+    args = [a if isinstance(a, TaylorPoly) else ctx.constant(a) for a in args]
+    x = ctx.constant(root)
+    for _ in range(max(2, ctx.order.bit_length() + 1)):
+        x = x + step(x, *args)
+    return x
 
 
 def is_poly(x) -> bool:

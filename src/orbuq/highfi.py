@@ -25,7 +25,7 @@ from .ta import DAVector
 
 __all__ = [
     "make_cartesian_rhs", "propagate_hf", "gauss_equations_mee",
-    "propagate_hf_mee", "mean_motion_rate",
+    "propagate_hf_mee",
 ]
 
 
@@ -119,21 +119,6 @@ def gauss_equations_mee(mee_values, accel_rsw, mu: float):
     dk = sqp * s2 * a_n * sl / (2.0 * w)
     dl = sqrt(mu * p) * (w / p) ** 2 + sqp * hs_ks * a_n / w
     return [dp, df, dg, dh, dk, dl]
-
-
-def mean_motion_rate(mee_values, mee_rates, mu: float):
-    """Chain rule for the alternate-set mean motion: dn/dt from MEE rates.
-
-    Uses ``a = p / (1 - f^2 - g^2)`` and ``n = sqrt(mu / a^3)``; vanishes for
-    unperturbed motion where p, f, g are all constant.
-    """
-    p, f, g = mee_values[0], mee_values[1], mee_values[2]
-    dp, df, dg = mee_rates[0], mee_rates[1], mee_rates[2]
-    ome2 = 1.0 - f * f - g * g
-    a = p / ome2
-    da = (dp * ome2 + 2.0 * p * (f * df + g * dg)) / (ome2 * ome2)
-    n = sqrt(mu / (a * a * a))
-    return -1.5 * (n / a) * da
 
 
 def make_mee_rhs(cfg: ForceConfig, sc: SpacecraftParams, mu: float):

@@ -84,7 +84,7 @@ from .timeutil import jday_from_iso, seconds_since_j2000
 __all__ = [
     "Scenario", "MfResult", "LfStage", "lf_stage", "mf_propagate",
     "mc_reference", "mf_sample_eval", "rmse", "normalized_lam",
-    "runtime_report", "shift_tle", "make_theory", "align_angles",
+    "runtime_report", "shift_tle", "make_theory",
     "batch_propagate_chunked",
 ]
 
@@ -713,13 +713,6 @@ def rmse(expected: np.ndarray, actual: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"sample shape mismatch: {a.shape} vs {b.shape}")
     return np.sqrt(np.mean((a - b) ** 2, axis=0))
-
-
-def align_angles(samples: np.ndarray, reference: float, idx: int) -> np.ndarray:
-    """Shift one angle column by whole turns to the branch nearest a reference."""
-    out = np.array(samples, copy=True)
-    out[:, idx] -= 2 * math.pi * np.round((out[:, idx] - reference) / (2 * math.pi))
-    return out
 
 
 def lam_vs_samples(result: MfResult, propagated_samples: np.ndarray,

@@ -10,8 +10,10 @@ accept :class:`~orbuq.ta.TaylorPoly` elements: the result is then the Taylor
 expansion of the TEME state with respect to mean-element deviations, or of
 one state per member when the elements are stacks.  All value-dependent
 branches (perigee regimes, small-eccentricity guards, range errors) decide on
-constant parts through :func:`~orbuq.generic.branch`, and the Kepler stop
-rule runs on each member's floats.
+constant parts through :func:`~orbuq.generic.branch`.  Kepler's equation is
+solved on each member's floats with Vallado's stop rule and lifted to the
+polynomial by :func:`~orbuq.generic.newton_lift`, so float columns (one row
+per satellite) run the same path.
 
 Deep-space corrections (orbital period >= 225 min) are not implemented; the
 initializer rejects such orbits.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .generic import absval, atan2, branch, cons, cos, each, is_poly, sin, sqrt
+from .generic import absval, atan2, branch, cons, cos, each, is_poly, newton_lift, sin, sqrt
 from .timeutil import jday_from_civil
 
 __all__ = ["GravityConstants", "WGS72", "Sgp4", "Sgp4Error",
@@ -81,6 +83,12 @@ def _kepler_constant(ubar: float, axbar: float, aybar: float) -> float:
         eo1 = eo1 + tem5
         ktr += 1
     return eo1
+
+
+def _kepler_step(eo1, u, axnl, aynl):
+    """Newton correction of Kepler's equation in SGP4's (axnl, aynl) form."""
+    se, ce = sin(eo1), cos(eo1)
+    return (u - aynl * ce + axnl * se - eo1) / (1.0 - ce * axnl - se * aynl)
 
 
 class Sgp4:
@@ -305,24 +313,11 @@ class Sgp4:
         aynl = ep * sin(argpp) + temp * self.aycof
         xl = mp + argpp + nodep + temp * self.xlcof * axnl
 
-        # Kepler's equation on the constant part, then polynomial refinement
+        # Kepler's equation on the constant part, then lifted to the polynomial
         u = _fmod2p(xl - nodep)
-        ubar = cons(u)
-        axbar, aybar = cons(axnl), cons(aynl)
-        eo1 = each(_kepler_constant, ubar, axbar, aybar)
-        if is_poly(u) or is_poly(axnl) or is_poly(aynl):
-            ctx = next(q.ctx for q in (u, axnl, aynl) if is_poly(q))
-            ee = ctx.constant(eo1)
-            up = u if is_poly(u) else ctx.constant(ubar)
-            ax = axnl if is_poly(axnl) else ctx.constant(axbar)
-            ay = aynl if is_poly(aynl) else ctx.constant(aybar)
-            for _ in range(max(2, ctx.order.bit_length() + 1)):
-                se, ce = sin(ee), cos(ee)
-                ee = ee + (up - ay * ce + ax * se - ee) / (1.0 - ce * ax - se * ay)
-            eo1 = ee
-            sineo1, coseo1 = sin(eo1), cos(eo1)
-        else:
-            sineo1, coseo1 = math.sin(eo1), math.cos(eo1)
+        eo1 = each(_kepler_constant, cons(u), cons(axnl), cons(aynl))
+        eo1 = newton_lift(eo1, _kepler_step, u, axnl, aynl)
+        sineo1, coseo1 = sin(eo1), cos(eo1)
 
         ecose = axnl * coseo1 + aynl * sineo1
         esine = axnl * sineo1 - aynl * coseo1

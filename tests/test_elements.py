@@ -19,8 +19,10 @@ from orbuq.elements import (
     convert_values,
     kepler_equinoctial_solve,
     kepler_solve,
+    rebranch_near,
 )
-from orbuq.generic import cons
+from orbuq import sgp4
+from orbuq.generic import cons, cos, each, is_poly, newton_lift, sin
 from orbuq.loads import LoadsConfig, initial_domain
 from orbuq.ta import AlgebraContext, DAVector
 
@@ -79,6 +81,111 @@ class TestKeplerSolve:
         lam, f, g = 2.0, 0.1, -0.2
         big_f = kepler_equinoctial_solve(lam, f, g)
         assert abs(big_f + g * math.cos(big_f) - f * math.sin(big_f) - lam) < 1e-13
+
+
+# The polynomial Newton loops that the three Kepler solvers ran inline before
+# generic.newton_lift, kept as oracles: each lifts the float root on the
+# constant parts with its own pass count and update expression.
+
+def _oracle_kepler(M, e):
+    ctx = next(a.ctx for a in (M, e) if is_poly(a))
+    mbar, ebar = cons(M), cons(e)
+    ep = e if is_poly(e) else ctx.constant(ebar)
+    mp = M if is_poly(M) else ctx.constant(mbar)
+    ee = ctx.constant(kepler_solve(mbar, ebar))
+    for _ in range(max(2, math.ceil(math.log2(ctx.order + 1)) + 1)):
+        ee = ee - (ee - ep * sin(ee) - mp) / (1.0 - ep * cos(ee))
+    return ee
+
+
+def _oracle_kepler_equinoctial(lam, f, g):
+    ctx = next(a.ctx for a in (lam, f, g) if is_poly(a))
+    fbar, gbar, lbar = cons(f), cons(g), cons(lam)
+    fp = f if is_poly(f) else ctx.constant(fbar)
+    gp = g if is_poly(g) else ctx.constant(gbar)
+    lp = lam if is_poly(lam) else ctx.constant(lbar)
+    ff = ctx.constant(kepler_equinoctial_solve(lbar, fbar, gbar))
+    for _ in range(max(2, math.ceil(math.log2(ctx.order + 1)) + 1)):
+        ff = ff - (ff + gp * cos(ff) - fp * sin(ff) - lp) / (
+            1.0 - gp * sin(ff) - fp * cos(ff)
+        )
+    return ff
+
+
+def _oracle_sgp4_kepler(u, axnl, aynl):
+    ctx = next(q.ctx for q in (u, axnl, aynl) if is_poly(q))
+    ubar, axbar, aybar = cons(u), cons(axnl), cons(aynl)
+    ee = ctx.constant(each(sgp4._kepler_constant, ubar, axbar, aybar))
+    up = u if is_poly(u) else ctx.constant(ubar)
+    ax = axnl if is_poly(axnl) else ctx.constant(axbar)
+    ay = aynl if is_poly(aynl) else ctx.constant(aybar)
+    for _ in range(max(2, ctx.order.bit_length() + 1)):
+        se, ce = sin(ee), cos(ee)
+        ee = ee + (up - ay * ce + ax * se - ee) / (1.0 - ce * ax - se * ay)
+    return ee
+
+
+def _sgp4_kepler(u, axnl, aynl):
+    """The solve in Sgp4.propagate: Vallado's float root, lifted."""
+    eo1 = each(sgp4._kepler_constant, cons(u), cons(axnl), cons(aynl))
+    return newton_lift(eo1, sgp4._kepler_step, u, axnl, aynl)
+
+
+_SOLVERS = {
+    "kepler": (kepler_solve, _oracle_kepler,
+               [[1.1, 2.5, -0.4], [0.25, 0.6, 0.05]]),
+    "equinoctial": (kepler_equinoctial_solve, _oracle_kepler_equinoctial,
+                    [[2.0, -1.0, 4.0], [0.1, 0.3, -0.02], [-0.2, 0.05, 0.4]]),
+    "sgp4": (_sgp4_kepler, _oracle_sgp4_kepler,
+             [[0.5, 3.0, 5.9], [0.01, 0.003, -0.02], [-0.004, 0.02, 0.001]]),
+}
+
+
+def _lift_args(order, shape, consts):
+    """Solver arguments at the given per-member constants.
+
+    ``lone`` and ``stack`` make every argument a polynomial (member 0 alone,
+    or all members stacked); ``mixed-lone`` and ``mixed-stack`` keep only the
+    first one a polynomial and pass the rest as floats or float columns.
+    """
+    ctx = AlgebraContext(order, len(consts))
+    x = [ctx.variable(j + 1) for j in range(len(consts))]
+    out = []
+    for j, c in enumerate(consts):
+        c = np.array(c) if shape.endswith("stack") else c[0]
+        if j and shape.startswith("mixed"):
+            out.append(c)
+        else:
+            dev = 0.01 * (j + 1) * x[j] + 0.002 * x[0] * x[j]
+            out.append(ctx.constant(c) + dev if shape.endswith("stack") else c + dev)
+    return out
+
+
+class TestNewtonLift:
+    @pytest.mark.parametrize("shape", ["lone", "stack", "mixed-lone", "mixed-stack"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("solver", sorted(_SOLVERS))
+    def test_bitwise_equal_to_inline_loop(self, solver, order, shape):
+        solve, oracle, consts = _SOLVERS[solver]
+        args = _lift_args(order, shape, consts)
+        got, want = solve(*args), oracle(*args)
+        assert got.c.shape == want.c.shape
+        assert np.array_equal(got.c.view(np.int64), want.c.view(np.int64))
+
+    def test_floats_pass_through(self):
+        root = np.array([0.5, 1.5])
+        assert newton_lift(root, None, np.array([1.0, 2.0]), 0.3) is root
+
+
+class TestRebranchNear:
+    def test_float_column_to_reference(self):
+        angles = np.array([0.1, 0.1 + 2 * math.pi, 0.1 - 4 * math.pi])
+        np.testing.assert_allclose(rebranch_near(angles, 0.0), [0.1, 0.1, 0.1], atol=1e-12)
+        # one reference per row: each row as it is alone
+        refs = np.array([6 * math.pi, -2 * math.pi, 0.0])
+        got = rebranch_near(angles, refs)
+        assert got.tolist() == [rebranch_near(float(a), float(r)) for a, r in zip(angles, refs)]
+        np.testing.assert_allclose(got, refs + 0.1, atol=1e-12)
 
 
 class TestConversions:

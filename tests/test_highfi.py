@@ -27,7 +27,6 @@ from orbuq.generic import cons, cross3, is_poly, norm3, power, sqrt
 from orbuq.highfi import (
     gauss_equations_mee,
     make_cartesian_rhs,
-    mean_motion_rate,
     propagate_hf,
     propagate_hf_mee,
 )
@@ -159,7 +158,8 @@ def _oracle_gravity(r3, cfg, t_s):
     ye = -st * r3[0] + ct * r3[1]
     ze = r3[2]
 
-    fld = forces._field_for(cfg)
+    fld = load_gravity_field(cfg.gravity_path, nmax=max(cfg.degree, 1)).truncated(
+        cfg.degree, cfg.order)
     nmax = cfg.degree
     re = cfg.re_km
     r2 = xe * xe + ye * ye + ze * ze
@@ -409,8 +409,39 @@ class TestHarrisPriester:
     def test_table_bounds(self):
         with pytest.raises(ValueError):
             harris_priester_density(90.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            harris_priester_density(1100.0, 1.0, 2.0)
+        # above the table's top the model has no atmosphere
+        assert harris_priester_density(1100.0, 1.0, 2.0) == 0.0
+
+    def test_no_drag_above_table(self):
+        # 1,621.86 km altitude: the drag term adds nothing, on floats and on
+        # a polynomial state alike
+        r3, v3 = [8000.0, 0.0, 0.0], [0.0, 7.0, 0.0]
+        on = acceleration(6.6e8, r3, v3, ForceConfig(drag=True), SC)
+        off = acceleration(6.6e8, r3, v3, ForceConfig(drag=False), SC)
+        assert on == off
+        pos, vel = _poly_state(r3, v3)
+        sun = sun_position(6.6e8)
+        for a in forces.drag_acceleration(sun, pos, vel, ForceConfig(drag=True), SC):
+            assert a.is_zero()
+
+    def test_column_straddling_table_top_matches_rows(self):
+        h = np.array([950.0, 999.9, 1000.0, 1000.1, 1621.86])
+        cos_half_sq = np.array([0.1, 0.4, 0.5, 0.9, 1.0])
+        exponent = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
+        col = harris_priester_density(h, cos_half_sq, exponent)
+        rows = [harris_priester_density(*map(float, args))
+                for args in zip(h, cos_half_sq, exponent)]
+        assert rows[-2:] == [0.0, 0.0] and rows[2] > 0.0
+        assert np.array_equal(col, rows)
+        # a stack straddling the top: each member is its lone polynomial
+        ctx = AlgebraContext(2, 1)
+        dh = 0.5 * ctx.variable(1)
+        stacked = harris_priester_density(ctx.constant(h) + dh, cos_half_sq, exponent)
+        for b, args in enumerate(zip(h, cos_half_sq, exponent)):
+            hb, cb, nb = map(float, args)
+            lone = harris_priester_density(hb + dh, cb, nb)
+            assert np.array_equal(stacked.c[:, b], lone.c)
+        assert not stacked.c[:, -2:].any()
 
     def test_density_between_min_max(self):
         rho_night = harris_priester_density(300.0, 0.0, 2.0)
@@ -798,26 +829,6 @@ class TestMeeFormulation:
         # w <= 0 requires a hyperbolic state beyond the asymptote
         with pytest.raises(ValueError):
             gauss_equations_mee([8000.0, 1.2, 0.0, 0, 0, math.pi], [0, 0, 0], MU)
-
-    def test_mean_motion_rate_unperturbed_zero(self):
-        mee = [8000.0, 0.01, -0.02, 0.1, 0.05, 1.2]
-        rates = gauss_equations_mee(mee, [0.0, 0.0, 0.0], MU)
-        assert mean_motion_rate(mee, rates, MU) == 0.0
-
-    def test_mean_motion_rate_chain_rule_against_fd(self):
-        mee = [8000.0, 0.01, -0.02, 0.1, 0.05, 1.2]
-        a_rsw = [1e-7, -2e-7, 5e-8]
-        rates = gauss_equations_mee(mee, a_rsw, MU)
-        got = mean_motion_rate(mee, rates, MU)
-        dt = 1.0
-
-        def n_of(vals):
-            a = vals[0] / (1 - vals[1] ** 2 - vals[2] ** 2)
-            return math.sqrt(MU / a**3)
-
-        stepped = [m + r * dt for m, r in zip(mee, rates)]
-        fd = (n_of(stepped) - n_of(mee)) / dt
-        assert got == pytest.approx(fd, rel=1e-4)
 
     def test_cross_formulation_j2_one_period(self):
         kep = [6800.0, 0.02, 0.5, 0.3, 0.2, 0.1]

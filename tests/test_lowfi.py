@@ -268,6 +268,17 @@ class TestStackedTheories:
             got, [theory.propagate_mean(MeanElements(theory.name, 0.0, m), 5400.0)
                   for m in means])
 
+    def test_sgp4_float_column_matches_rows_alone(self):
+        # one row per satellite; np.sin on the column may differ from
+        # math.sin on a row in the last bit
+        th = Sgp4Theory()
+        rows = [[6678.0, 0.01, 0.3, 0.1, 0.2, 0.5], [7000.0, 0.03, 1.2, 2.1, 4.2, 3.5]]
+        got = th.propagate_mean(MeanElements(th.name, 0.0, [np.array(c) for c in zip(*rows)]),
+                                5400.0)
+        for b, row in enumerate(rows):
+            alone = th.propagate_mean(MeanElements(th.name, 0.0, row), 5400.0)
+            np.testing.assert_allclose([c[b] for c in got], alone, rtol=1e-12, atol=0.0)
+
     def test_inversion_members_converge_on_their_own(self):
         # these members need 14, 10, 7 and 7 passes alone; each keeps the
         # mean it converged to while the others iterate on

@@ -32,7 +32,6 @@ from orbuq.loads import Manifold, initial_domain
 from orbuq.lowfi import KeplerJ2Theory, lf_target
 from orbuq.pipeline import (
     Scenario,
-    align_angles,
     batch_propagate_chunked,
     lam_vs_samples,
     lf_stage,
@@ -226,6 +225,16 @@ class TestMfPropagate:
 
 
 class TestShiftTle:
+    def test_sgp4_shift_runs_stacked(self):
+        # the kernels' shifts under SGP4 run as one stack: the HF means
+        # reach SGP4 as float columns
+        sc = kepler_identity_scenario(
+            lf_theory="sgp4", lf_j2=None, shift_mode="tle", eps_nu=1e-4, n_max=1,
+            periods=0.5, sigma_cartesian=(1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3))
+        res = mf_propagate(sc)
+        assert res.n_kernels == 3
+        assert res.stats.batch_fallbacks == 0
+
     def test_zero_shift_returns_input_map(self):
         mu = 398600.4355
         th = KeplerJ2Theory(mu=mu, j2=0.0)
@@ -513,14 +522,6 @@ class TestRmse:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rmse(np.zeros((3, 6)), np.zeros((4, 6)))
-
-
-class TestAngleAlignment:
-    def test_rebranch_to_reference(self):
-        samples = np.zeros((3, 6))
-        samples[:, 5] = [0.1, 0.1 + 2 * math.pi, 0.1 - 4 * math.pi]
-        out = align_angles(samples, 0.0, 5)
-        np.testing.assert_allclose(out[:, 5], [0.1, 0.1, 0.1], atol=1e-12)
 
 
 class TestRuntimeReport:
