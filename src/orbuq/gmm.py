@@ -8,10 +8,10 @@ L = 3, lambda = 1e-3 library, shipped as the literal ``DEFAULT_LIBRARY``;
 ``generate_split_library`` solves the small constrained optimization that
 produced it, for that or any other size and penalty.
 
-The unscented transform supplies the deterministic sample set used to push
-component statistics through polynomial flow maps; the L2 distance and the
-likelihood agreement measure (overlap integral) quantify how well two
-densities, or a density and a Monte-Carlo cloud, agree.
+The unscented set, on the covariance's eigen square root, pushes component
+statistics through polynomial flow maps; the L2 distance and the likelihood
+agreement measure (overlap integral) quantify how well two densities, or a
+density and a Monte-Carlo cloud, agree.
 
 A kernel of a split tree is scored from its eigenpairs, not its covariance:
 ``logpdf_quadratic_forms`` and ``kernel_logpdf_support`` take the weight,
@@ -544,7 +544,6 @@ class SigmaSet:
 
     points: np.ndarray   # (N, n)
     weights: np.ndarray  # (N,)
-    kappa: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64))
@@ -555,30 +554,20 @@ class SigmaSet:
             raise ValueError("sigma weights must sum to 1")
 
 
-def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Matrix square root: Cholesky when PD, eigen square root when semidefinite."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        lamv, vec = spectral_factors(cov)
-        return vec * np.sqrt(lamv)
-
-
 def ut_sigma(kernel: GaussianKernel, kappa: float) -> SigmaSet:
-    """Symmetric 2n+1 unscented set reproducing the kernel's first two moments."""
+    """Symmetric 2n+1 unscented set on the covariance's eigen square root (any
+    root reproduces the first two moments: Julier & Uhlmann, Proc. IEEE 2004)."""
     n = kernel.dim
     if n + kappa <= 0.0:
         raise ValueError(f"n + kappa must be positive, got {n + kappa}")
-    s = _cov_sqrt(kernel.cov)
-    scale = math.sqrt(n + kappa)
-    pts = [kernel.mean]
-    for j in range(n):
-        col = scale * s[:, j]
-        pts.append(kernel.mean + col)
-        pts.append(kernel.mean - col)
+    lamv, vec = spectral_factors(kernel.cov)
+    cols = math.sqrt(n + kappa) * (vec * np.sqrt(lamv)).T
+    pts = np.repeat(kernel.mean[None], 2 * n + 1, axis=0)
+    pts[1::2] += cols
+    pts[2::2] -= cols
     w = np.full(2 * n + 1, 1.0 / (2.0 * (n + kappa)))
     w[0] = kappa / (n + kappa)
-    return SigmaSet(np.array(pts), w, kappa)
+    return SigmaSet(pts, w)
 
 
 def reconstruct_moments(samples: np.ndarray, weights: np.ndarray | None = None

@@ -8,17 +8,17 @@ an osculating cartesian state at any requested time.  Two theories ship:
   formulated on mean equinoctial elements so exactly-circular and
   exactly-equatorial orbits stay regular.  Mean elements coincide with the
   osculating ones at epoch (the theory carries no short-period terms), so the
-  inversion converges in one pass.  Usable in every regime.
+  inversion is exact and propagates nothing.  Usable in every regime.
 
 * ``Sgp4Theory`` - the near-Earth SGP4 model on TLE-style mean Keplerian
   elements (see :mod:`orbuq.sgp4`); limited to periods below 225 minutes.
 
-``osc_to_mean`` inverts a theory by fixed point: propagate the current mean
-guess to the target epoch, compare osculating elements, and add the residual
-to the guess.  On polynomial states convergence is judged on the constant part
-of the residual; the polynomial part contracts at the same rate.  Stacked
-states and float columns are judged member by member: a member that has
-converged keeps its mean while the others iterate on.
+``osc_to_mean`` inverts any other theory by fixed point: propagate the current
+mean guess to the target epoch, compare osculating elements, and add the
+residual to the guess.  On polynomial states convergence is judged on the
+constant part of the residual; the polynomial part contracts at the same
+rate.  Stacked states and float columns are judged member by member: a
+member that has converged keeps its mean while the others iterate on.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ class KeplerJ2Theory:
     name = "kepler_j2"
     mean_set: ElementSet = EQUINOCTIAL_LAM
     angle_indices = (5,)
+    mean_is_osculating = True  # no short-period terms: the inverse is the identity
     re_km = RE_KM  # equatorial radius that scales J2
 
     def __init__(self, mu: float = 398600.4355, j2: float = 1.08262668e-3):
@@ -136,6 +137,7 @@ class Sgp4Theory:
     name = "sgp4"
     mean_set: ElementSet = KEPLERIAN
     angle_indices = (3, 4, 5)
+    mean_is_osculating = False
 
     def __init__(self, grav: GravityConstants = WGS72):
         self.grav = grav
@@ -199,10 +201,12 @@ def osc_to_mean(theory, epoch_s: float, cart_values, eps_max: float = 1e-10,
     the returned mean elements carry the full Taylor expansion.  Members of
     a stack (or rows of float columns) converge one by one: each keeps the
     mean at which its own residual first fell below ``eps_max``, which is the
-    mean it would get alone.
+    mean it would get alone.  A ``mean_is_osculating`` theory returns at once.
     """
     osc_target = theory.osc_extract(cart_values)
     mean = MeanElements(theory.name, epoch_s, list(osc_target))
+    if theory.mean_is_osculating:
+        return mean
     history = []
     for _ in range(i_max):
         cart_i = theory.propagate_mean(mean, epoch_s)

@@ -20,8 +20,8 @@ The flow for one scenario:
    constant part - directly in osculating element space, or through the
    theory's mean-element space when the TLE-shift mode is selected, which
    shifts stacks of kernels.
-5. Push each kernel's unscented set through its map and rebuild moments; the
-   split weights are untouched by propagation.
+5. Push every kernel's unscented set, on its own eigenbasis one shared box
+   set, through its map in one stacked pass; the weights are untouched.
 
 Low-fidelity (uncorrected) maps and moments are retained alongside the
 corrected ones so accuracy comparisons need no second run.
@@ -58,7 +58,6 @@ from .gmm import (
     logpdf_quadratic_forms,
     marginal_mixture,
     regular_dims,
-    reconstruct_moments,
     spectral_factors,
     ut_sigma,
 )
@@ -248,12 +247,8 @@ class StackedKernels:
         eigvals = np.array([dom.eigvals for dom in inputs])
         score, score_abs = logpdf_quadratic_forms(
             weights, means, eigvals, np.array([dom.eigvecs for dom in inputs]), centre)
-
-        def coeffs(maps):
-            return np.array([np.stack([p.c for p in mp], axis=1) for mp in maps])
-
         return cls(centre=centre, score=score, score_abs=score_abs, eigvals=eigvals,
-                   coeffs_lf=coeffs(maps_lf), coeffs_mf=coeffs(maps_mf))
+                   coeffs_lf=_coeff_stack(maps_lf), coeffs_mf=_coeff_stack(maps_mf))
 
 
 def batch_propagate_chunked(states: np.ndarray, t0_s: float, t1_s: float,
@@ -312,39 +307,52 @@ def _box_coordinates(offsets: np.ndarray, eigvals: np.ndarray, ci: float) -> np.
                      where=~is_inert(eigvals))
 
 
-def _kernel_moments(domain: Domain, mapped: DAVector, ci: float):
-    """Unscented moments of one kernel pushed through its Taylor map.
+def _coeff_stack(maps: Sequence[DAVector]) -> np.ndarray:
+    """(K, M, d) coefficients of K maps, monomial by output component."""
+    return np.array([np.stack([p.c for p in mp], axis=1) for mp in maps])
 
-    The spread is kappa = 3 - n.  A covariance that is not PSD is recomputed
-    with kappa = 0; the result is then clamped PSD and symmetrised.  Returns
-    (mean, cov, fell_back).
+
+def _unscented_moments(ctx: AlgebraContext, coeffs: np.ndarray,
+                       ci: float) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Unscented moments of K kernels pushed through their Taylor maps.
+
+    ``coeffs[k]`` holds kernel k's map over the unit box of its chart.  On
+    the kernel's own eigenbasis (any square root serves) its sigma points sit
+    at the box coordinates of ``ut_sigma(N(0, I / ci^2), kappa)``, the same
+    for every kernel, so one monomial table gives all images, as offsets from
+    each map's constant part.  An inert box variable carries no map terms.
+    The spread is kappa = 3 - n; a kernel whose covariance is not PSD is
+    recomputed with kappa = 0, and every covariance is clamped PSD.  Returns
+    (means, covariances, indices of the kernels that fell back).
     """
-    def through_map(kap):
-        sigma = ut_sigma(domain.kernel, kap)
-        offsets = (sigma.points - domain.kernel.mean) @ domain.eigvecs
-        boxes = _box_coordinates(offsets, domain.eigvals, ci)
-        return reconstruct_moments(mapped.eval_many(boxes), sigma.weights)
+    n = ctx.nvars
 
-    mean, cov = through_map(3.0 - len(domain.kernel.mean))
-    lam = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    fell_back = not lam.min() >= -1e-12 * max(lam.max(), 1.0)
-    if fell_back:
-        mean, cov = through_map(0.0)
-    lam, vec = spectral_factors(cov)  # clamps the tiny negative residue
-    cov = (vec * lam) @ vec.T
-    return mean, 0.5 * (cov + cov.T), fell_back
+    def moments(kappa, terms):
+        sigma = ut_sigma(GaussianKernel(1.0, np.zeros(n), np.eye(n) / ci**2), kappa)
+        w = sigma.weights
+        images = ctx.monomial_values(sigma.points)[:, 1:] @ terms
+        mean = (w[:, None] * images).sum(axis=1)  # point by point: +- images cancel
+        dev = images - mean[:, None]
+        cov = np.einsum("s,ksi,ksj->kij", w, dev, dev)
+        return mean, 0.5 * (cov + cov.transpose(0, 2, 1))
+
+    mean, cov = moments(3.0 - n, coeffs[:, 1:])
+    lam = np.linalg.eigvalsh(cov)
+    fell_back = np.flatnonzero(~(lam.min(axis=1) >= -1e-12 * np.maximum(lam.max(axis=1), 1.0)))
+    if fell_back.size:
+        mean[fell_back], cov[fell_back] = moments(0.0, coeffs[fell_back, 1:])
+    for k, c in enumerate(cov):
+        lam, vec = spectral_factors(c)  # clamps the tiny negative residue
+        c = (vec * lam) @ vec.T
+        cov[k] = 0.5 * (c + c.T)
+    return coeffs[:, 0] + mean, cov, fell_back.tolist()
 
 
 def _mixture_from_maps(inputs: Manifold, maps: Sequence[DAVector],
                        ci: float) -> tuple[GaussianMixture, list[int]]:
-    kernels = []
-    fallback = []
-    for i, (dom, mp) in enumerate(zip(inputs, maps)):
-        mean, cov, fell_back = _kernel_moments(dom, mp, ci)
-        if fell_back:
-            fallback.append(i)
-        kernels.append(GaussianKernel(dom.weight, mean, cov))
-    return GaussianMixture(tuple(kernels)), fallback
+    means, covs, fallback = _unscented_moments(maps[0].ctx, _coeff_stack(maps), ci)
+    return GaussianMixture(tuple(GaussianKernel(dom.weight, m, c)
+                                 for dom, m, c in zip(inputs, means, covs))), fallback
 
 
 def _rebranch_fast_angle(mapped: DAVector, ref: float) -> DAVector:
@@ -400,13 +408,10 @@ def _conversion_stage(scenario: Scenario, root: Domain, lib: SplitLibrary):
         n_max=scenario.n_max, alpha_min=scenario.alpha_min, ci=scenario.ci,
     )
     m_in, images = loads_gmm(conv_map, [root], cfg)
-    roots = []
-    kernels = []
-    for dom, img in zip(m_in, images):
-        mean, cov, _ = _kernel_moments(dom, img, scenario.ci)
-        roots.append(initial_domain(mean, cov, scenario.ci, weight=dom.weight))
-        kernels.append(GaussianKernel(dom.weight, mean, cov))
-    return roots, GaussianMixture(tuple(kernels)), m_in.stats.batch_fallbacks
+    mixture, _ = _mixture_from_maps(m_in, images, scenario.ci)
+    roots = [initial_domain(k.mean, k.cov, scenario.ci, weight=k.weight)
+             for k in mixture.kernels]
+    return roots, mixture, m_in.stats.batch_fallbacks
 
 
 @dataclass

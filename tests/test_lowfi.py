@@ -203,6 +203,30 @@ class TestOscToMean:
         eqx, _ = convert_values(cart, CARTESIAN, EQUINOCTIAL_LAM, MU)
         np.testing.assert_allclose(mean.constant_values(), eqx, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", ["lone", "stacked", "float_column"])
+    def test_kepler_j2_inversion_propagates_nothing(self, shape, monkeypatch):
+        # the theory's mean elements are its osculating ones: the inverse
+        # returns the extracted elements and never propagates
+        th = KeplerJ2Theory(mu=MU)
+        rows = [convert_values([9000.0 + 500 * b, 0.05 * b, 0.3, 0.1, 0.2, 0.3], KEPLERIAN,
+                               CARTESIAN, MU)[0] for b in range(3)]
+        ctx = AlgebraContext(2, 6)
+        amp = np.diag([1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3])
+        cart = {
+            "lone": lambda: list(DAVector.affine(ctx, rows[0], amp)),
+            "stacked": lambda: list(DAVector.stack(
+                [DAVector.affine(ctx, r, amp) for r in rows])),
+            "float_column": lambda: [np.array(c) for c in zip(*rows)],
+        }[shape]()
+
+        def refuse(*args):
+            raise AssertionError("propagate_mean called")
+
+        monkeypatch.setattr(KeplerJ2Theory, "propagate_mean", refuse)
+        mean = osc_to_mean(th, 0.0, cart)
+        for got, want in zip(mean.values, th.osc_extract(cart)):
+            assert np.array_equal(getattr(got, "c", got), getattr(want, "c", want))
+
     def test_sgp4_roundtrip_recovers_tle_elements(self):
         rec = parse_tle(CLASSIC_TLE_1, CLASSIC_TLE_2)
         th = Sgp4Theory()

@@ -44,7 +44,7 @@ from orbuq.pipeline import (
     sample_initial,
     shift_tle,
 )
-from orbuq.ta import DAVector
+from orbuq.ta import DAVector, TaylorPoly
 
 
 def kepler_identity_scenario(**kw):
@@ -491,6 +491,145 @@ class TestStackedSampleEval:
         assert xs.shape[0] % 3 != 0
         for use_lf in (False, True):
             assert_matches_loop(res, xs, use_lf)
+
+
+def oracle_moments(dom, mapped, ci):
+    """Reference: one kernel's unscented moments the way the pipeline took them
+    kernel by kernel, sigma points in the kernel's own coordinates mapped to
+    its box and evaluated through its map as absolute values."""
+    n = dom.kernel.dim
+
+    def through_map(kappa):
+        sigma = gmm.ut_sigma(dom.kernel, kappa)
+        offsets = (sigma.points - dom.kernel.mean) @ dom.eigvecs
+        boxes = pipeline._box_coordinates(offsets, dom.eigvals, ci)
+        return gmm.reconstruct_moments(mapped.eval_many(boxes), sigma.weights)
+
+    mean, cov = through_map(3.0 - n)
+    lam = np.linalg.eigvalsh(cov)
+    fell_back = not lam.min() >= -1e-12 * max(lam.max(), 1.0)
+    if fell_back:
+        mean, cov = through_map(0.0)
+    lam, vec = gmm.spectral_factors(cov)
+    cov = (vec * lam) @ vec.T
+    return mean, 0.5 * (cov + cov.T), fell_back
+
+
+def stacked_moments(maps, ci):
+    return pipeline._unscented_moments(maps[0].ctx, pipeline._coeff_stack(maps), ci)
+
+
+def conversion_leaves(name, overrides):
+    """The split leaves and images of a scenario's element-set conversion stage."""
+    from orbuq.loads import LoadsConfig, loads_gmm
+
+    sc, _ = load_scenario(name, overrides)
+    mu0, p0 = sc.initial_cartesian()
+
+    def conv(state):
+        return DAVector(convert_values(list(state), CARTESIAN, sc.element_set, sc.mu)[0])
+
+    cfg = LoadsConfig(eps_nu=pipeline._CONVERSION_EPS_NU, library=DEFAULT_LIBRARY, ci=sc.ci)
+    inputs, images = loads_gmm(conv, [initial_domain(mu0, p0, sc.ci)], cfg)
+    return inputs, images, sc.ci
+
+
+@pytest.fixture(scope="module")
+def leo_split_stage():
+    sc, _ = load_scenario("leo", ["periods=1.0", "loads.eps_nu=0.025"])
+    stage = lf_stage(sc)
+    assert stage.n_kernels == 243
+    return stage.inputs, stage.maps, sc.ci
+
+
+def box_square_map(ctx):
+    """y_i = dx_i^2 on every box variable, as (M, n) coefficients."""
+    coeffs = np.zeros((ctx.size, ctx.nvars))
+    for i in range(ctx.nvars):
+        e = [0] * ctx.nvars
+        e[i] = 2
+        coeffs[ctx.index[tuple(e)], i] = 1.0
+    return coeffs
+
+
+class TestUnscentedMoments:
+    """All kernels' moments in one stacked pass on their own eigenbases."""
+
+    @pytest.mark.parametrize("case", ["leo-split", "heo-eq-conversion", "leo-eq-conversion"])
+    def test_matches_per_kernel_path(self, case, request):
+        if case == "leo-split":
+            inputs, maps, ci = request.getfixturevalue("leo_split_stage")
+        else:
+            name = case.split("-")[0]
+            inputs, maps, ci = conversion_leaves(
+                name, ["elements.set=equinoctial", "elements.fast_var=L"])
+        means, covs, fallback = stacked_moments(maps, ci)
+        assert fallback == []
+        for dom, mp, mean, cov in zip(inputs, maps, means, covs):
+            ref_mean, ref_cov, fell_back = oracle_moments(dom, mp, ci)
+            assert not fell_back
+            assert np.abs(cov - ref_cov).max() <= 2e-12 * np.abs(ref_cov).max()
+            var = np.diag(ref_cov)
+            live = var > gmm._REGULAR_VARIANCE
+            assert live.any()
+            assert np.all(np.abs(mean - ref_mean)[live] <= 1e-10 * np.sqrt(var[live]))
+
+    def test_affine_chart_returns_its_kernel(self):
+        # the HEO root (28,000 km from the Earth's centre) through its own
+        # chart: the moments are the kernel's, free of the cancellation of
+        # sigma images taken as absolute values
+        sc, _ = load_scenario("heo", [])
+        mu0, p0 = sc.initial_cartesian()
+        dom = initial_domain(mu0, p0, sc.ci)
+        mix, fallback = pipeline._mixture_from_maps(Manifold([dom]), [dom.state], sc.ci)
+        assert fallback == []
+        (kernel,) = mix.kernels
+        np.testing.assert_array_equal(kernel.mean, mu0)
+        assert np.abs(kernel.cov - p0).max() <= 1e-15 * np.abs(p0).max()
+
+    def test_kappa_zero_fallback(self):
+        # y_i = dx_i^2 with kappa = 3 - n: variances 2 s^4 and covariances
+        # -s^4 (s = 1/ci, the box spread), so one eigenvalue is -3 s^4
+        sc, _ = load_scenario("heo", [])
+        mu0, p0 = sc.initial_cartesian()
+        good = initial_domain(mu0, p0, sc.ci)
+        ctx = good.state.ctx
+        bad = initial_domain(np.zeros(6), np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), sc.ci)
+        square = DAVector([TaylorPoly(ctx, c) for c in box_square_map(ctx).T])
+        s4 = sc.ci**-4
+        means, covs, fallback = stacked_moments([good.state, square, good.state], sc.ci)
+        assert fallback == [1]
+        ref_mean, ref_cov, fell_back = oracle_moments(bad, square, sc.ci)
+        assert fell_back
+        np.testing.assert_allclose(means[1], ref_mean, rtol=0, atol=1e-15)
+        # both sides are clamped, each through its own eigendecomposition
+        assert np.abs(covs[1] - ref_cov).max() <= 1e-14 * np.abs(ref_cov).max()
+        assert np.linalg.eigvalsh(covs[1]).min() >= -1e-15 * np.abs(covs[1]).max()
+        # kappa = 3 - n gives the indefinite covariance above
+        sigma = gmm.ut_sigma(bad.kernel, 3.0 - 6)
+        direct = gmm.reconstruct_moments(
+            square.eval_many(pipeline._box_coordinates(
+                (sigma.points - bad.kernel.mean) @ bad.eigvecs, bad.eigvals, sc.ci)),
+            sigma.weights)[1]
+        np.testing.assert_allclose(np.diag(direct), 2 * s4, rtol=1e-12)
+        np.testing.assert_allclose(direct[0, 1:], -s4, rtol=1e-12)
+        assert np.linalg.eigvalsh(direct).min() == pytest.approx(-3 * s4, rel=1e-12)
+        # the other kernels of the stack are untouched
+        alone = stacked_moments([good.state], sc.ci)
+        for k in (0, 2):
+            np.testing.assert_array_equal(means[k], alone[0][0])
+            np.testing.assert_array_equal(covs[k], alone[1][0])
+
+    def test_inert_box_variables_carry_no_terms(self, leo_split_stage):
+        # z and vz are inert: a map has exact zero coefficients on every
+        # monomial of an inert box variable, so the sigma points along it
+        # image the centre, as a zero box coordinate would
+        inputs, maps, _ = leo_split_stage
+        inert = np.array([gmm.is_inert(d.eigvals) for d in inputs])
+        assert inert.sum(axis=1).min() == 2
+        ctx = maps[0].ctx
+        terms = inert.astype(np.intp) @ ctx.expmat.T > 0
+        assert not np.any(pipeline._coeff_stack(maps)[terms])
 
 
 class TestRmse:
