@@ -5,22 +5,93 @@ Configs are JSON with nested sections mirroring dotted key paths
 ``ic.kepler`` are degrees; sigmas are km and km/s.  Command-line overrides use
 ``dotted.key=value`` with JSON-parsed values, last one wins.  The keys that
 ``scenario_to_dict`` writes are the only valid ones; any other key is an error.
+
+``Scenario`` is defined here, so that loading a scenario imports none of the
+propagation modules; ``orbuq.pipeline`` re-exports it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .elements import ElementSet
-from .forces import ForceConfig, SpacecraftParams
-from .integrate import IntegratorConfig
-from .pipeline import Scenario
+import numpy as np
 
-__all__ = ["scenario_from_dict", "scenario_to_dict", "load_scenario",
+from .elements import CARTESIAN, KEPLERIAN, ElementSet, convert_values
+from .forces import ForceConfig, SpacecraftParams
+from .gmm import DEFAULT_LIBRARY, SplitLibrary
+from .integrate import IntegratorConfig
+from .timeutil import jday_from_iso, seconds_since_j2000
+
+__all__ = ["Scenario", "scenario_from_dict", "scenario_to_dict", "load_scenario",
            "apply_overrides", "config_hash", "bundled_scenario_path"]
+
+_DEG = math.pi / 180.0
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One uncertainty-propagation case: orbit, sigmas, models and controls."""
+
+    name: str
+    ic_kepler: tuple[float, ...]          # a (km), e, i, raan, argp, M (deg)
+    sigma_cartesian: tuple[float, ...]    # 1-sigma x, y, z (km), vx, vy, vz (km/s)
+    epoch_utc: str = "2021-01-01T00:00:00"
+    periods: float = 2.0
+    element_set: ElementSet = CARTESIAN
+    eps_nu: float = 0.01
+    ci: float = 3.0
+    n_max: int = 20
+    alpha_min: float = 1e-8
+    lf_theory: str = "sgp4"
+    lf_j2: float | None = None     # kepler_j2 theory only; None keeps the default
+    shift_mode: str = "osculating"
+    seed: int = 42
+    force: ForceConfig = field(default_factory=ForceConfig)
+    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
+    spacecraft: SpacecraftParams = field(default_factory=SpacecraftParams)
+    library: SplitLibrary = DEFAULT_LIBRARY
+
+    def __post_init__(self):
+        if len(self.ic_kepler) != 6 or len(self.sigma_cartesian) != 6:
+            raise ValueError("ic_kepler and sigma_cartesian need 6 entries")
+        if any(s < 0 for s in self.sigma_cartesian):
+            raise ValueError("sigmas must be nonnegative")
+        if self.eps_nu <= 0:
+            raise ValueError("eps_nu must be positive")
+        if self.shift_mode not in ("osculating", "tle"):
+            raise ValueError(f"unknown shift mode {self.shift_mode!r}")
+        if self.lf_theory not in ("sgp4", "kepler_j2"):
+            raise ValueError(f"unknown LF theory {self.lf_theory!r}")
+
+    @property
+    def mu(self) -> float:
+        return self.force.mu
+
+    @property
+    def epoch_s(self) -> float:
+        return seconds_since_j2000(jday_from_iso(self.epoch_utc))
+
+    @property
+    def period_s(self) -> float:
+        return 2.0 * math.pi * math.sqrt(self.ic_kepler[0] ** 3 / self.mu)
+
+    @property
+    def duration_s(self) -> float:
+        return self.periods * self.period_s
+
+    def initial_cartesian(self) -> tuple[np.ndarray, np.ndarray]:
+        a, e, i, raan, argp, m = self.ic_kepler
+        kep = [a, e, i * _DEG, raan * _DEG, argp * _DEG, m * _DEG]
+        rv, _ = convert_values(kep, KEPLERIAN, CARTESIAN, self.mu)
+        cov = np.diag(np.asarray(self.sigma_cartesian, dtype=np.float64) ** 2)
+        return np.array(rv), cov
+
+    def split_library(self) -> SplitLibrary:
+        return self.library
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -182,5 +253,7 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None
 
 
 def config_hash(obj: dict) -> str:
+    import hashlib
+
     canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

@@ -11,15 +11,21 @@ reproduces the series within 1e-12 of the lunar distance.
 
 Every force takes its position and velocity as three components, each a
 plain float, a numpy column of shape (N,) for a sample batch, or a Taylor
-polynomial; one code path serves all three.  The third-body, drag and SRP
-terms are written component by component.  Gravity fills the Cunningham
-table one degree at a time, each order as one array slice, and sums it with
-one fixed linear form (``_HarmonicForm``); the table is kept scaled by
-per-slot constants that the form absorbs, which takes two scaling passes
-out of each degree's step.  A polynomial state goes through that code as a
-one-element object column.  Time is always a plain float (or float array),
-measured in seconds since J2000; value-dependent table lookups and shadow
-branches act on constant parts for polynomial states.
+polynomial.  The third-body, drag and SRP terms are written component by
+component, so floats run them as Python arithmetic.  Gravity fills the
+Cunningham table one degree at a time, each order as one array slice, and
+sums it with one fixed linear form (``_HarmonicForm``); the table is kept
+scaled by per-slot constants that the form absorbs, which takes two scaling
+passes out of each degree's step.  A polynomial state goes through that code
+as a one-element object column.  One position on floats (the one-row
+right-hand side) has its own branch wherever the column code would call
+numpy: the table and the form as Python loops, ``bisect`` for the density
+layer, ``min``/``max`` for clipping, and numpy's transcendental functions
+called on floats.  Each branch repeats the column code's operations in their
+order, so a float row has the bits of its row in a batch.  Time is always a
+plain float (or float array), measured in seconds since J2000;
+value-dependent table lookups and shadow branches act on constant parts for
+polynomial states.
 
 ``acceleration`` takes |r|, the Sun position, its distance and the
 satellite-to-Sun vector and length once per call (``_SunGeometry``) and
@@ -33,6 +39,7 @@ Units: km, kg, s; accelerations in km/s^2.  Spacecraft area is in m^2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -210,19 +217,19 @@ class _HarmonicForm:
                     bs[at[n] + m] = (n + m - 1) * (n - m - 1) / ((2 * n - 1) * (2 * n - 3))
             num[at[n] + n] = (2 * n - 1) * num[at[n - 1] + n - 1]
             den[at[n] + n] = den[at[n - 1] + n - 1]
-        # one list of per-degree steps for float scalars (ndim 0) and one for
-        # columns (ndim 1), whose slot constants broadcast along the rows
-        self.steps = []
-        for ndim in (0, 1):
-            col = (slice(None),) + (None,) * ndim
-            steps = []
-            for n in range(1, nv + 1):
-                below = slice(at[n], at[n] + n)         # orders 0 .. n-1 of degree n
-                prev = slice(at[n - 1], at[n - 1] + n)  # the same orders of degree n-1
-                low = slice(at[n], at[n] + n - 1)       # orders that also read degree n-2
-                prev2 = slice(at[n - 2], at[n - 2] + n - 1) if n >= 2 else None
-                steps.append((below, prev, low, prev2, bs[low][col], at[n] + n, at[n] - 1))
-            self.steps.append(steps)
+        # per-degree steps for columns, whose slot constants broadcast along
+        # the rows, and for one position on Python floats, whose orders 0 ..
+        # n-2 are each (slot, slot of degree n-1, slot of degree n-2, bs)
+        self.steps, self.float_steps = [], []
+        for n in range(1, nv + 1):
+            below = slice(at[n], at[n] + n)         # orders 0 .. n-1 of degree n
+            prev = slice(at[n - 1], at[n - 1] + n)  # the same orders of degree n-1
+            low = slice(at[n], at[n] + n - 1)       # orders that also read degree n-2
+            prev2 = slice(at[n - 2], at[n - 2] + n - 1) if n >= 2 else None
+            self.steps.append((below, prev, low, prev2, bs[low][:, None], at[n] + n, at[n] - 1))
+            self.float_steps.append((
+                [(at[n] + m, at[n - 1] + m, at[n - 2] + m, bs[at[n] + m].item())
+                 for m in range(n - 1)], at[n] - 1, at[n] + n))
 
         form = np.zeros((2, self.size, 3))
         v, w = form
@@ -248,10 +255,15 @@ class _HarmonicForm:
                 w[row + order, 2] -= (deg - order + 1) * s
         form *= np.array([p / q for p, q in zip(num, den)])[:, None]
         self.coef = form.reshape(-1, 3) * (mu / (RE_KM * RE_KM))
+        # the form's nonzero terms per component, in slot order: einsum's sum
+        self.terms = [[(j, c) for j, c in enumerate(col) if c != 0.0]
+                      for col in self.coef.T.tolist()]
 
     def __call__(self, xe, ye, ze):
-        """Earth-fixed acceleration of positions given as float scalars, or as
-        float or object columns; shape (3,) + the shape of ``xe``."""
+        """Earth-fixed acceleration of positions given as Python floats (a
+        tuple of three), or as float or object columns (shape (3, N))."""
+        if isinstance(xe, float):
+            return self._floats(xe, ye, ze)
         re = RE_KM
         r2 = xe * xe + ye * ye + ze * ze
         rinv = 1.0 / np.sqrt(r2)
@@ -259,10 +271,10 @@ class _HarmonicForm:
         x0, y0, z0 = sr * xe, sr * ye, sr * ze
         rho = re * sr
         y0s = np.array([-y0, y0])  # W enters V's diagonal negated
-        tab = np.empty((2, self.size) + np.shape(xe), dtype=np.result_type(x0))
+        tab = np.empty((2, self.size) + xe.shape, dtype=np.result_type(x0))
         tab[0, 0] = re * rinv
         tab[1, 0] = 0.0
-        for below, prev, low, prev2, bs, diag, last in self.steps[np.ndim(xe)]:
+        for below, prev, low, prev2, bs, diag, last in self.steps:
             np.multiply(z0, tab[:, prev], out=tab[:, below])
             if prev2 is not None:
                 u = rho * tab[:, prev2]
@@ -273,7 +285,33 @@ class _HarmonicForm:
             d += y0s * tab[::-1, last]
         # without ``optimize`` einsum sums the slots in index order, so a row's
         # bits do not depend on the batch width (BLAS would block the sum)
-        return np.einsum("ji,j...->i...", self.coef, tab.reshape((-1,) + np.shape(xe)))
+        return np.einsum("ji,j...->i...", self.coef, tab.reshape(2 * self.size, -1))
+
+    def _floats(self, xe, ye, ze):
+        """``__call__`` on one position, with the column path's operations in
+        its order, so the result has the bits of that position's row."""
+        re = RE_KM
+        rinv = 1.0 / math.sqrt(xe * xe + ye * ye + ze * ze)
+        sr = re * (rinv * rinv)
+        x0, y0, z0 = sr * xe, sr * ye, sr * ze
+        rho = re * sr
+        v, w = [0.0] * self.size, [0.0] * self.size
+        v[0] = re * rinv
+        for low, last, diag in self.float_steps:
+            for k, k1, k2, b in low:
+                v[k] = z0 * v[k1] - rho * v[k2] * b
+                w[k] = z0 * w[k1] - rho * w[k2] * b
+            a, b = v[last], w[last]
+            v[diag - 1], w[diag - 1] = z0 * a, z0 * b
+            v[diag], w[diag] = x0 * a - y0 * b, x0 * b + y0 * a
+        tab = v + w
+        out = []
+        for terms in self.terms:
+            acc = 0.0
+            for j, c in terms:
+                acc += c * tab[j]
+            out.append(acc)
+        return out
 
 
 _FORM_CACHE: dict[tuple, _HarmonicForm] = {}
@@ -294,24 +332,28 @@ def gravity_acceleration(r3, cfg: ForceConfig, t_s):
     Positions rotate into the Earth-fixed frame by the GMST spin (no polar
     motion or nutation), the V/W table of ``_HarmonicForm`` runs up to
     degree+1, and the resulting acceleration rotates back.  Components are
-    float scalars, (N,) columns, or polynomials; a polynomial state is
-    evaluated as a one-element object column, so that every operation on it
-    stays elementwise.  Columns longer than ``_BLOCK`` run in even blocks,
-    none of width one.
+    floats, (N,) columns, or polynomials.  A float position runs on Python
+    floats throughout; a polynomial state is evaluated as a one-element
+    object column, so that every operation on it stays elementwise.
+    Columns longer than ``_BLOCK`` run in even blocks, none of width one.
     """
     if cfg.degree == 0:
         rmag = norm3(r3)
         fac = -cfg.mu / (rmag * rmag * rmag)
         return [fac * r3[0], fac * r3[1], fac * r3[2]]
 
+    form = _form_for(cfg)
     theta = gmst_angle(t_s)
     ct, st = np.cos(theta), np.sin(theta)
+    if isinstance(r3[0], float):
+        ct, st, (x, y, z) = float(ct), float(st), (float(c) for c in r3)
+        ax, ay, az = form(ct * x + st * y, -st * x + ct * y, z)
+        return [ct * ax - st * ay, st * ax + ct * ay, az]
+
     pos = [ct * r3[0] + st * r3[1], -st * r3[0] + ct * r3[1], r3[2]]
     poly = any(is_poly(x) for x in pos)
     if poly:
         pos = [np.array([x], dtype=object) for x in pos]
-
-    form = _form_for(cfg)
     blocks = -(-np.size(pos[0]) // _BLOCK)
     if blocks <= 1:
         ax, ay, az = form(*pos)
@@ -339,7 +381,9 @@ def sun_position(t_s):
     r = (149.619 - 2.499 * cm - 0.021 * (1.0 - 2.0 * sm * sm)) * 1.0e6
     x = r * np.cos(lam)
     ry = r * np.sin(lam)
-    return np.stack(np.broadcast_arrays(x, ry * _COS_EPS, ry * _SIN_EPS), axis=-1)
+    if isinstance(t_s, float):
+        return np.array([x, ry * _COS_EPS, ry * _SIN_EPS])
+    return np.stack([x, ry * _COS_EPS, ry * _SIN_EPS], axis=-1)
 
 
 def _moon_series(t_s):
@@ -497,7 +541,10 @@ class _SunGeometry(NamedTuple):
 
 def _body_geometry(r3, body_pos):
     """A body's position components and distance, and the satellite -> body vector and length."""
-    s = [body_pos[..., 0], body_pos[..., 1], body_pos[..., 2]]
+    if body_pos.ndim == 1:  # one float time
+        s = body_pos.tolist()
+    else:
+        s = [body_pos[:, 0], body_pos[:, 1], body_pos[:, 2]]
     d = [s[0] - r3[0], s[1] - r3[1], s[2] - r3[2]]
     return s, norm3(s), d, norm3(d)
 
@@ -553,6 +600,11 @@ _HP_H, _HP_MIN, _HP_MAX = (np.ascontiguousarray(col) for col in _HP_TABLE.T)
 # each layer's scale heights (km) of the min and max density profiles
 _HP_HS_MIN = (_HP_H[:-1] - _HP_H[1:]) / np.log(_HP_MIN[1:] / _HP_MIN[:-1])
 _HP_HS_MAX = (_HP_H[:-1] - _HP_H[1:]) / np.log(_HP_MAX[1:] / _HP_MAX[:-1])
+# the same as Python floats: each layer's base row and scale heights, and the
+# altitudes between layers, which pick a float altitude's layer by bisection
+_HP_LAYERS = list(zip(*(a.tolist() for a in (_HP_H, _HP_MIN, _HP_MAX, _HP_HS_MIN, _HP_HS_MAX))))
+_HP_INNER = _HP_H[1:-1].tolist()
+_HP_FLOOR, _HP_TOP = float(_HP_H[0]), float(_HP_H[-1])
 
 
 def harris_priester_density(h_km, cos_half_psi_sq, bulge_exponent):
@@ -566,6 +618,14 @@ def harris_priester_density(h_km, cos_half_psi_sq, bulge_exponent):
     zero polynomial, or 0 in those rows or members).  Below its floor it
     raises.
     """
+    if isinstance(h_km, float) and h_km >= _HP_FLOOR:  # below it the column code raises
+        if h_km > _HP_TOP:
+            return 0.0
+        h, rmin, rmax, hs_min, hs_max = _HP_LAYERS[bisect_right(_HP_INNER, h_km)]
+        dh = h - h_km
+        rho_min, rho_max = rmin * np.exp(dh / hs_min), rmax * np.exp(dh / hs_max)
+        bulge = power(cos_half_psi_sq, bulge_exponent / 2.0)
+        return float((rho_min + (rho_max - rho_min) * bulge) * 1.0e-12)
     hc = np.asarray(cons(h_km), dtype=np.float64)
     if np.any(hc < _HP_H[0]):
         raise ValueError(f"altitude {hc} km below the density table's floor {_HP_H[0]} km")
@@ -615,11 +675,10 @@ def drag_acceleration(sun, r3, v3, cfg: ForceConfig, sc: SpacecraftParams, geo=N
 
     # inclination-dependent exponent, 2 (equatorial) to 6 (polar),
     # evaluated per sample so batched trajectories stay independent
-    hvec = cross3([cons(r3[0]), cons(r3[1]), cons(r3[2])],
-                  [cons(v3[0]), cons(v3[1]), cons(v3[2])])
-    hnorm = np.sqrt(hvec[0] ** 2 + hvec[1] ** 2 + hvec[2] ** 2)
-    inc = np.arccos(np.clip(hvec[2] / hnorm, -1.0, 1.0))
-    inc = np.minimum(inc, math.pi - inc)
+    hx, hy, hz = cross3([cons(r3[0]), cons(r3[1]), cons(r3[2])],
+                        [cons(v3[0]), cons(v3[1]), cons(v3[2])])
+    inc = np.arccos(_clip(hz / sqrt(hx * hx + hy * hy + hz * hz), -1.0, 1.0))
+    inc = min(inc, math.pi - inc) if isinstance(inc, float) else np.minimum(inc, math.pi - inc)
     n_exp = 2.0 + 4.0 * inc / (0.5 * math.pi)
 
     rho = harris_priester_density(h_km, cos_half_sq, n_exp)
@@ -636,6 +695,11 @@ def drag_acceleration(sun, r3, v3, cfg: ForceConfig, sc: SpacecraftParams, geo=N
 # -- solar radiation pressure ------------------------------------------------------
 
 
+def _clip(x, lo, hi):
+    """``np.clip``; a float takes ``min`` and ``max``, a tenth of numpy's cost on it."""
+    return min(max(x, lo), hi) if isinstance(x, float) else np.clip(x, lo, hi)
+
+
 def shadow_factor(r3, sun_pos, geo=None):
     """Dual-cone illumination factor in [0, 1] with a linear penumbra ramp.
 
@@ -645,14 +709,14 @@ def shadow_factor(r3, sun_pos, geo=None):
         geo = _sun_geometry(r3, sun_pos)
     rmag, d, dmag = geo.rmag, geo.d, geo.dmag
     # apparent radii and separation of the Sun and Earth disks
-    a_sun = np.arcsin(np.clip(R_SUN_KM / cons(dmag), -1, 1))
-    b_earth = np.arcsin(np.clip(RE_KM / cons(rmag), -1, 1))
+    a_sun = np.arcsin(_clip(R_SUN_KM / cons(dmag), -1.0, 1.0))
+    b_earth = np.arcsin(_clip(RE_KM / cons(rmag), -1.0, 1.0))
     cosc = cons(
         (-(r3[0]) * d[0] - r3[1] * d[1] - r3[2] * d[2]) / (rmag * dmag)
     )
-    c_sep = np.arccos(np.clip(cosc, -1.0, 1.0))
+    c_sep = np.arccos(_clip(cosc, -1.0, 1.0))
     nu = (c_sep - (b_earth - a_sun)) / (2.0 * a_sun)
-    return np.clip(nu, 0.0, 1.0)
+    return _clip(nu, 0.0, 1.0)
 
 
 def srp_acceleration(sun, r3, cfg: ForceConfig, sc: SpacecraftParams, geo=None):
@@ -681,7 +745,8 @@ def acceleration(t_s, r3, v3, cfg: ForceConfig, sc: SpacecraftParams):
     are taken once and shared by the Sun's third-body term, drag and SRP.
     """
     rmag = norm3(r3)
-    if np.any(np.asarray(cons(rmag)) < cfg.re_km):
+    inside = cons(rmag) < cfg.re_km
+    if inside if isinstance(inside, bool) else inside.any():
         raise ValueError("position inside the Earth")
 
     acc = gravity_acceleration(r3, cfg, t_s)

@@ -193,11 +193,13 @@ def asin(x):
 
 
 def power(x, r):
-    """x**r for fractional r (positive base around the expansion point)."""
+    """x**r for fractional r (positive base around the expansion point).
+
+    Floats take ``np.power`` as arrays do: ``math.pow`` differs from its
+    array loop in the last bit on about one input pair in twenty.
+    """
     if isinstance(x, TaylorPoly):
         return x ** r
-    if isinstance(x, float) and isinstance(r, float):
-        return math.pow(x, r)
     return np.power(x, r)
 
 

@@ -33,11 +33,11 @@ def make_cartesian_rhs(cfg: ForceConfig, sc: SpacecraftParams):
     """State derivative (r, v) -> (v, a) of (N,) times and (N, 6) states.
 
     The states are floats, or an object array of polynomials in DA mode.  A
-    one-row call is evaluated on that row's scalars: the third-body, drag
-    and SRP terms make about a hundred numpy calls, whose overhead on (1,)
-    arrays costs several times the arithmetic, and gravity keeps a float
-    row as scalars (and a polynomial row as one-element object columns).
-    The integrator passes only the active rows, so this also serves the last
+    one-row call is evaluated on that row's scalars, which each force term
+    runs on Python floats with the bits of the row in a batch (a polynomial
+    row goes through gravity as one-element object columns).  Numpy's
+    overhead on (1,) arrays would cost several times the arithmetic.  The
+    integrator passes only the active rows, so this also serves the last
     row of a larger batch.
     """
 
@@ -45,6 +45,8 @@ def make_cartesian_rhs(cfg: ForceConfig, sc: SpacecraftParams):
         if y.shape[0] == 1:
             row = y[0].tolist()
             acc = acceleration(float(t[0]), row[:3], row[3:], cfg, sc)
+            if y.dtype != object:
+                return np.array([row[3:] + acc])
         else:
             acc = acceleration(t, [y[:, 0], y[:, 1], y[:, 2]],
                                [y[:, 3], y[:, 4], y[:, 5]], cfg, sc)

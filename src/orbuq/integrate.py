@@ -13,13 +13,11 @@ arrays and object arrays of polynomials:
   per-row time, step size and accept/reject decisions.  A row's arithmetic
   depends on the other rows in one way only: the right-hand side sees just
   the rows still active, so a row that ends a batch alone is evaluated as a
-  one-row call on that row's scalars (``highfi.make_cartesian_rhs``).
-  Gravity and the Moon give such a row the bits it has in a batch of any
-  width; a math-library call of the other force terms (``math.pow`` in the
-  drag bulge) need not match numpy's array loop to the last bit.  The error
-  estimate sums its stages with ``einsum`` in stage order, not with a BLAS
-  call whose rounding may follow the row count.  Results are deterministic
-  for a fixed partition into batches.
+  one-row call on that row's scalars (``highfi.make_cartesian_rhs``), and
+  every force term gives such a row the bits it has in a batch of any
+  width.  The error estimate sums its stages with ``einsum`` in stage
+  order, not with a BLAS call whose rounding may follow the row count.
+  Results are deterministic for a fixed partition into batches.
   ``integrate_single`` is the N = 1 call.
 
 * ``integrate_da`` - a one-row float shadow of the constant part runs the

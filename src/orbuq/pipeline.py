@@ -29,26 +29,23 @@ corrected ones so accuracy comparisons need no second run.
 
 from __future__ import annotations
 
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from .config import Scenario
 from .elements import (
     CARTESIAN,
     ElementSet,
     ElemKind,
-    KEPLERIAN,
     convert_values,
     rebranch_near,
 )
 from .forces import ForceConfig, SpacecraftParams
 from .gmm import (
-    DEFAULT_LIBRARY,
     GaussianKernel,
     GaussianMixture,
     SplitLibrary,
@@ -78,7 +75,6 @@ from .loads import (
 from .lowfi import KeplerJ2Theory, MeanElements, Sgp4Theory, lf_target, osc_to_mean
 from .sgp4 import WGS72
 from .ta import AlgebraContext, DAVector
-from .timeutil import jday_from_iso, seconds_since_j2000
 
 __all__ = [
     "Scenario", "MfResult", "LfStage", "lf_stage", "mf_propagate",
@@ -87,7 +83,6 @@ __all__ = [
     "batch_propagate_chunked",
 ]
 
-_DEG = math.pi / 180.0
 _FAST = 5  # position of the fast angle in a non-cartesian element set
 _CHUNK = 4096  # fixed batch partition: results never depend on thread count
 _CONVERSION_EPS_NU = 0.01  # split threshold of the element-set conversion stage
@@ -100,68 +95,6 @@ _BLOCK_ENTRIES = 2**16  # cap on the entries of each mf_sample_eval work array
 # most 23 u (7-term projections squared, a 6-term sum, two final additions).
 # With u = eps / 2 the difference of the two is below 37 eps; 64 leaves margin.
 _SCORE_ROUNDING = 64 * np.finfo(np.float64).eps
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One uncertainty-propagation case: orbit, sigmas, models and controls."""
-
-    name: str
-    ic_kepler: tuple[float, ...]          # a (km), e, i, raan, argp, M (deg)
-    sigma_cartesian: tuple[float, ...]    # 1-sigma x, y, z (km), vx, vy, vz (km/s)
-    epoch_utc: str = "2021-01-01T00:00:00"
-    periods: float = 2.0
-    element_set: ElementSet = CARTESIAN
-    eps_nu: float = 0.01
-    ci: float = 3.0
-    n_max: int = 20
-    alpha_min: float = 1e-8
-    lf_theory: str = "sgp4"
-    lf_j2: float | None = None     # kepler_j2 theory only; None keeps the default
-    shift_mode: str = "osculating"
-    seed: int = 42
-    force: ForceConfig = field(default_factory=ForceConfig)
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    spacecraft: SpacecraftParams = field(default_factory=SpacecraftParams)
-    library: SplitLibrary = DEFAULT_LIBRARY
-
-    def __post_init__(self):
-        if len(self.ic_kepler) != 6 or len(self.sigma_cartesian) != 6:
-            raise ValueError("ic_kepler and sigma_cartesian need 6 entries")
-        if any(s < 0 for s in self.sigma_cartesian):
-            raise ValueError("sigmas must be nonnegative")
-        if self.eps_nu <= 0:
-            raise ValueError("eps_nu must be positive")
-        if self.shift_mode not in ("osculating", "tle"):
-            raise ValueError(f"unknown shift mode {self.shift_mode!r}")
-        if self.lf_theory not in ("sgp4", "kepler_j2"):
-            raise ValueError(f"unknown LF theory {self.lf_theory!r}")
-
-    @property
-    def mu(self) -> float:
-        return self.force.mu
-
-    @property
-    def epoch_s(self) -> float:
-        return seconds_since_j2000(jday_from_iso(self.epoch_utc))
-
-    @property
-    def period_s(self) -> float:
-        return 2.0 * math.pi * math.sqrt(self.ic_kepler[0] ** 3 / self.mu)
-
-    @property
-    def duration_s(self) -> float:
-        return self.periods * self.period_s
-
-    def initial_cartesian(self) -> tuple[np.ndarray, np.ndarray]:
-        a, e, i, raan, argp, m = self.ic_kepler
-        kep = [a, e, i * _DEG, raan * _DEG, argp * _DEG, m * _DEG]
-        rv, _ = convert_values(kep, KEPLERIAN, CARTESIAN, self.mu)
-        cov = np.diag(np.asarray(self.sigma_cartesian, dtype=np.float64) ** 2)
-        return np.array(rv), cov
-
-    def split_library(self) -> SplitLibrary:
-        return self.library
 
 
 def make_theory(scenario: Scenario):
@@ -261,6 +194,8 @@ def batch_propagate_chunked(states: np.ndarray, t0_s: float, t1_s: float,
     if threads <= 1 or len(pieces) == 1:
         outs = [propagate_hf(p, t0_s, t1_s, cfg, icfg, sc) for p in pieces]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outs = list(
                 pool.map(lambda p: propagate_hf(p, t0_s, t1_s, cfg, icfg, sc), pieces)

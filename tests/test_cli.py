@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbuq
 from orbuq import pipeline
 from orbuq.cli import main
 from orbuq.config import (
@@ -286,3 +291,17 @@ class TestConfigHelpers:
         assert h1 == h2
         obj2 = apply_overrides(obj, ["seed=43"])
         assert config_hash(obj2) != h1
+
+    def test_config_import_loads_no_pipeline(self):
+        # a set-up that only loads a scenario compiles and runs none of the
+        # propagation modules (nor the thread pool), and pipeline re-exports
+        # the one Scenario class
+        src = str(Path(orbuq.__file__).resolve().parents[1])
+        names = ["orbuq.pipeline", "orbuq.loads", "orbuq.lowfi", "orbuq.sgp4",
+                 "orbuq.highfi", "concurrent.futures"]
+        code = ("import sys; from orbuq import config; config.load_scenario('leo', []); "
+                f"print([m for m in {names!r} if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+        assert Scenario is orbuq.config.Scenario
