@@ -260,8 +260,8 @@ class _HarmonicForm:
                       for col in self.coef.T.tolist()]
 
     def __call__(self, xe, ye, ze):
-        """Earth-fixed acceleration of positions given as Python floats (a
-        tuple of three), or as float or object columns (shape (3, N))."""
+        """Earth-fixed acceleration of one position given as Python floats (a
+        list of three), or of float or object columns (shape (3, N))."""
         if isinstance(xe, float):
             return self._floats(xe, ye, ze)
         re = RE_KM
@@ -298,9 +298,9 @@ class _HarmonicForm:
         v, w = [0.0] * self.size, [0.0] * self.size
         v[0] = re * rinv
         for low, last, diag in self.float_steps:
-            for k, k1, k2, b in low:
-                v[k] = z0 * v[k1] - rho * v[k2] * b
-                w[k] = z0 * w[k1] - rho * w[k2] * b
+            for k, k1, k2, bs in low:
+                v[k] = z0 * v[k1] - rho * v[k2] * bs
+                w[k] = z0 * w[k1] - rho * w[k2] * bs
             a, b = v[last], w[last]
             v[diag - 1], w[diag - 1] = z0 * a, z0 * b
             v[diag], w[diag] = x0 * a - y0 * b, x0 * b + y0 * a
