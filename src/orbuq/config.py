@@ -6,8 +6,11 @@ Configs are JSON with nested sections mirroring dotted key paths
 ``dotted.key=value`` with JSON-parsed values, last one wins.  The keys that
 ``scenario_to_dict`` writes are the only valid ones; any other key is an error.
 
-``Scenario`` is defined here, so that loading a scenario imports none of the
-propagation modules; ``orbuq.pipeline`` re-exports it.
+``Scenario`` and the model settings it holds (``ForceConfig``,
+``SpacecraftParams``, ``IntegratorConfig``) are defined here, so that loading
+a scenario imports none of the propagation modules, ``orbuq.forces`` and
+``orbuq.integrate`` included; those modules and ``orbuq.pipeline`` re-export
+them.
 """
 
 from __future__ import annotations
@@ -21,15 +24,67 @@ from typing import Any
 import numpy as np
 
 from .elements import CARTESIAN, KEPLERIAN, ElementSet, convert_values
-from .forces import ForceConfig, SpacecraftParams
 from .gmm import DEFAULT_LIBRARY, SplitLibrary
-from .integrate import IntegratorConfig
 from .timeutil import jday_from_iso, seconds_since_j2000
 
-__all__ = ["Scenario", "scenario_from_dict", "scenario_to_dict", "load_scenario",
+__all__ = ["Scenario", "ForceConfig", "SpacecraftParams", "IntegratorConfig",
+           "scenario_from_dict", "scenario_to_dict", "load_scenario",
            "apply_overrides", "config_hash", "bundled_scenario_path"]
 
 _DEG = math.pi / 180.0
+RE_KM = 6378.1363  # Earth equatorial radius
+
+
+@dataclass(frozen=True)
+class SpacecraftParams:
+    """Ballistic properties: mass (kg), cross section (m^2), drag/SRP coefficients."""
+
+    mass: float = 500.0
+    area: float = 1.0
+    cd: float = 2.0
+    cr: float = 1.5
+
+    def __post_init__(self):
+        for name in ("mass", "area", "cd", "cr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
+
+@dataclass(frozen=True)
+class ForceConfig:
+    """Force-model selection for the numerical propagator."""
+
+    re_km = RE_KM  # a class constant, not a config field
+    mu: float = 398600.4355
+    degree: int = 8
+    order: int = 8
+    third_body_sun: bool = True
+    third_body_moon: bool = True
+    drag: bool = False
+    srp: bool = True
+    gravity_path: str | None = None           # None: bundled 8x8 field
+
+    def __post_init__(self):
+        if self.degree < 0 or self.order < 0 or self.order > self.degree:
+            raise ValueError("need degree >= order >= 0")
+
+    @classmethod
+    def two_body(cls, mu: float = 398600.4355) -> "ForceConfig":
+        return cls(mu=mu, degree=0, order=0, third_body_sun=False,
+                   third_body_moon=False, drag=False, srp=False)
+
+
+@dataclass(frozen=True)
+class IntegratorConfig:
+    abs_tol: float = 1e-12
+    rel_tol: float = 1e-12
+    min_step: float = 1e-8     # s
+
+    def __post_init__(self):
+        if self.abs_tol <= 0 or self.rel_tol <= 0:
+            raise ValueError("tolerances must be positive")
+
+
 
 
 @dataclass(frozen=True)

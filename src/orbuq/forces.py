@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import RE_KM, ForceConfig, SpacecraftParams
 from .generic import cons, cross3, is_poly, norm3, power, sqrt
 from .timeutil import DAY_S, julian_centuries
 
@@ -60,52 +60,12 @@ MU_SUN = 1.32712440018e11     # km^3/s^2
 MU_MOON = 4902.800066
 R_SUN_KM = 696000.0
 AU_KM = 1.495978707e8
-RE_KM = 6378.1363             # Earth equatorial radius
 SRP_P0 = 4.56e-6              # N/m^2 at 1 AU
 OMEGA_EARTH = 7.292115146706979e-5  # rad/s
 _ARCSEC = math.pi / (180.0 * 3600.0)
 _DEG = math.pi / 180.0
 _COS_EPS = math.cos(23.43929111 * _DEG)  # obliquity of the ecliptic
 _SIN_EPS = math.sin(23.43929111 * _DEG)
-
-
-@dataclass(frozen=True)
-class SpacecraftParams:
-    """Ballistic properties: mass (kg), cross section (m^2), drag/SRP coefficients."""
-
-    mass: float = 500.0
-    area: float = 1.0
-    cd: float = 2.0
-    cr: float = 1.5
-
-    def __post_init__(self):
-        for name in ("mass", "area", "cd", "cr"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class ForceConfig:
-    """Force-model selection for the numerical propagator."""
-
-    re_km = RE_KM  # a class constant, not a config field
-    mu: float = 398600.4355
-    degree: int = 8
-    order: int = 8
-    third_body_sun: bool = True
-    third_body_moon: bool = True
-    drag: bool = False
-    srp: bool = True
-    gravity_path: str | None = None           # None: bundled 8x8 field
-
-    def __post_init__(self):
-        if self.degree < 0 or self.order < 0 or self.order > self.degree:
-            raise ValueError("need degree >= order >= 0")
-
-    @classmethod
-    def two_body(cls, mu: float = 398600.4355) -> "ForceConfig":
-        return cls(mu=mu, degree=0, order=0, third_body_sun=False,
-                   third_body_moon=False, drag=False, srp=False)
 
 
 class GravityField:

@@ -18,9 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .elements import CARTESIAN, MEE_L, convert_values
-from .forces import ForceConfig, SpacecraftParams, acceleration
+from .config import ForceConfig, IntegratorConfig, SpacecraftParams
+from .forces import acceleration
 from .generic import branch, cons, cos, cross3, dot3, is_poly, norm3, sin, sqrt
-from .integrate import IntegratorConfig, integrate_batch, integrate_da, integrate_single
+from .integrate import integrate_batch, integrate_da, integrate_single
 from .ta import DAVector
 
 __all__ = [

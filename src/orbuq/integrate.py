@@ -31,10 +31,11 @@ arrays and object arrays of polynomials:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .config import IntegratorConfig
 
 __all__ = ["IntegratorConfig", "integrate_batch", "integrate_da",
            "integrate_single", "integrate_fixed"]
@@ -105,17 +106,6 @@ class _Dp8:
         denom = np.where(denom > 0.0, denom, 1.0)
         ncomp = big_k.shape[-1]
         return h_abs * e5sq / np.sqrt(denom * ncomp)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    min_step: float = 1e-8     # s
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 def _initial_step(f, t0, y, f0, direction, cfg):

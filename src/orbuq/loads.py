@@ -69,12 +69,17 @@ class SplitStats:
     members, and a member redone alone counts again.  ``batch_fallbacks``
     counts the stacked calls that were redone member by member.
     ``split_directions`` counts each generation's splits by box variable, 1 first.
+    The split loop leaves ``lf_da_propagations`` and ``inversion_float_passes``
+    at 0; the pipeline adds its low-fidelity theory's counts to them
+    (``orbuq.lowfi.LfCounts``).
     """
 
     domains_per_generation: list[int] = field(default_factory=list)
     target_evals: int = 0
     batch_fallbacks: int = 0
     split_directions: list[list[int]] = field(default_factory=list)
+    lf_da_propagations: int = 0
+    inversion_float_passes: int = 0
 
 
 @dataclass

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import Scenario
+from .config import ForceConfig, IntegratorConfig, Scenario, SpacecraftParams
 from .elements import (
     CARTESIAN,
     ElementSet,
@@ -44,7 +44,6 @@ from .elements import (
     convert_values,
     rebranch_near,
 )
-from .forces import ForceConfig, SpacecraftParams
 from .gmm import (
     GaussianKernel,
     GaussianMixture,
@@ -59,7 +58,6 @@ from .gmm import (
     ut_sigma,
 )
 from .highfi import propagate_hf
-from .integrate import IntegratorConfig
 from .generic import MixedBranch
 from .loads import (
     Domain,
@@ -304,6 +302,12 @@ def _replace_constant(mapped: DAVector, new_const: np.ndarray) -> DAVector:
     return DAVector(comps)
 
 
+def _add_counts(stats: SplitStats, theory) -> None:
+    """Add a theory's propagation counts (``lowfi.LfCounts``) to a run's counters."""
+    stats.lf_da_propagations += theory.counts.lf_da_propagations
+    stats.inversion_float_passes += theory.counts.inversion_float_passes
+
+
 def shift_tle(theory, t1_s: float, mu_hf_set: np.ndarray, lf_map_set: DAVector,
               element_set: ElementSet, mu: float) -> DAVector:
     """Constant-part replacement routed through the theory's mean-element space.
@@ -324,6 +328,7 @@ def shift_tle(theory, t1_s: float, mu_hf_set: np.ndarray, lf_map_set: DAVector,
         [p - p.const + c for p, c in zip(mean_map.values, mean_hf.constant_values())],
         bstar=mean_map.bstar,
     )
+    theory.counts.lf_da_propagations += 1
     out, _ = convert_values(theory.propagate_mean(shifted_mean, t1_s), CARTESIAN,
                             element_set, mu)
     return DAVector(out)
@@ -413,6 +418,7 @@ def lf_stage(scenario: Scenario) -> LfStage:
     inputs, maps = loads_gmm(split_target, roots, cfg)
     timings["t_loads_s"] = time.perf_counter() - tic
     inputs.stats.batch_fallbacks += conversion_fallbacks
+    _add_counts(inputs.stats, theory)
 
     if eset.fast is not None:
         # keep every kernel's fast angle on the branch of the nominal image
@@ -477,6 +483,7 @@ def mf_propagate(scenario: Scenario, threads: int = 1,
                 shifted = _rebranch_fast_angle(shifted, mp[_FAST].const)
             maps_mf.append(shifted)
         stats.batch_fallbacks += shift_stats.batch_fallbacks
+    _add_counts(stats, theory)
     timings["t_shift_s"] = time.perf_counter() - tic
 
     tic = time.perf_counter()

@@ -3,7 +3,7 @@
 The model follows the standard Spacetrack/Vallado formulation (WGS-72
 constants by convention).  Mean elements are intrinsic to the theory: feeding
 it osculating elements directly produces biased trajectories, which is why the
-fixed-point inversion in :mod:`orbuq.lowfi` exists.
+mean-element inversion in :mod:`orbuq.lowfi` exists.
 
 Because initialization and evaluation are plain algebraic recurrences, both
 accept :class:`~orbuq.ta.TaylorPoly` elements: the result is then the Taylor

@@ -98,6 +98,10 @@ class TestRun:
         assert counters["batch_fallbacks"] == 0
         assert counters["target_evals"] == sum(counters["domains_per_generation"])
         assert counters["domains_per_generation"][0] == 1
+        # the J2 theory's mean elements are its osculating ones: no inversion
+        # passes, one DA propagation per target call
+        assert counters["inversion_float_passes"] == 0
+        assert counters["lf_da_propagations"] >= 1
         assert "target_evals" not in (outdir / "timings.csv").read_text()
         assert (outdir / "kernels.csv").exists()
 
@@ -294,11 +298,11 @@ class TestConfigHelpers:
 
     def test_config_import_loads_no_pipeline(self):
         # a set-up that only loads a scenario compiles and runs none of the
-        # propagation modules (nor the thread pool), and pipeline re-exports
-        # the one Scenario class
+        # propagation modules (nor the thread pool), the force models and the
+        # integrator included, and pipeline re-exports the one Scenario class
         src = str(Path(orbuq.__file__).resolve().parents[1])
         names = ["orbuq.pipeline", "orbuq.loads", "orbuq.lowfi", "orbuq.sgp4",
-                 "orbuq.highfi", "concurrent.futures"]
+                 "orbuq.highfi", "orbuq.forces", "orbuq.integrate", "concurrent.futures"]
         code = ("import sys; from orbuq import config; config.load_scenario('leo', []); "
                 f"print([m for m in {names!r} if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,

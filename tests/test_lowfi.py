@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from orbuq.config import load_scenario
 from orbuq.elements import (
     ALTERNATE_LAM,
     CARTESIAN,
@@ -20,6 +21,7 @@ from orbuq.lowfi import (
     osc_to_mean,
     wrap_residual,
 )
+from orbuq.loads import initial_domain, split_domain
 from orbuq.sgp4 import Sgp4, Sgp4Error, TleRecord, WGS72, format_tle, parse_tle
 from orbuq.ta import AlgebraContext, DAVector, TaylorPoly
 from orbuq.cli import load_sgp4_reference
@@ -315,6 +317,115 @@ class TestStackedTheories:
         got = osc_to_mean(th, 0.0, list(DAVector.stack(states)))
         self.assert_members_alone(got.values,
                                   [osc_to_mean(th, 0.0, list(s)).values for s in states])
+
+
+def converged_reference(theory, epoch_s, cart, extra=15, eps_max=1e-10, i_max=50):
+    """Mean elements converged in every coefficient, for polynomial states.
+
+    The fixed point on the whole polynomial state, run ``extra`` passes on
+    after the constant part of every member has settled.  The SGP4 passes
+    contract every coefficient by about a factor of 100, so the nilpotent
+    part is converged to roundoff as well.
+    """
+    target = theory.osc_extract(cart)
+    mean = list(target)
+    settled_at = None
+    for i in range(i_max + extra):
+        osc = theory.osc_extract(theory.propagate_mean(MeanElements(theory.name, epoch_s, mean),
+                                                       epoch_s))
+        delta = [t - c for t, c in zip(target, osc)]
+        for j in theory.angle_indices:
+            delta[j] = wrap_residual(delta[j])
+        if settled_at is None and np.linalg.norm([d.const for d in delta], axis=0).max() < eps_max:
+            settled_at = i
+        if settled_at is not None and i - settled_at == extra:
+            return mean
+        mean = [m + d for m, d in zip(mean, delta)]
+    raise AssertionError("the reference fixed point did not converge")
+
+
+@pytest.fixture(scope="module")
+def leo_states():
+    """The bundled LEO root (equatorial: z and vz are inert) and 9 of its
+    depth-2 children as one stack."""
+    sc, _ = load_scenario("leo")
+    mu0, p0 = sc.initial_cartesian()
+    root = initial_domain(mu0, p0, sc.ci)
+    k1, k2 = (int(k) + 1 for k in np.argsort(root.eigvals)[::-1][:2])
+    leaves = [g for c in split_domain(root, k1, sc.library, sc.ci)
+              for g in split_domain(c, k2, sc.library, sc.ci)]
+    return sc, root.state, [d.state for d in leaves]
+
+
+class TestNewtonInversion:
+    """Polynomial states invert by chord-Newton, converged in every coefficient."""
+
+    @staticmethod
+    def mean_and_reference(leo_states, shape):
+        sc, root, leaves = leo_states
+        th = Sgp4Theory()
+        cart = list(root) if shape == "lone" else list(DAVector.stack(leaves))
+        return th, cart, osc_to_mean(th, sc.epoch_s, cart), \
+            converged_reference(th, sc.epoch_s, cart)
+
+    @pytest.mark.parametrize("shape", ["lone", "stacked"])
+    def test_matches_converged_reference(self, leo_states, shape):
+        th, cart, got, ref = self.mean_and_reference(leo_states, shape)
+        for p, q in zip(got.values, ref):
+            scale = np.abs(q.c).max(axis=0)
+            assert np.all(np.abs(p.c - q.c).max(axis=0) <= 1e-10 * scale)
+        # i and raan have no non-constant coefficient: they are not inverted,
+        # and the mean reproduces them to roundoff
+        target = th.osc_extract(cart)
+        osc = th.osc_extract(th.propagate_mean(got, leo_states[0].epoch_s))
+        inert = [j for j, t in enumerate(target) if not t.c[1:].any()]
+        assert inert == [2, 3]
+        for j in inert:
+            assert not got.values[j].c[1:].any()
+            assert np.abs((target[j] - osc[j]).c).max() <= 1e-15
+
+    def test_members_have_their_lone_bits(self, leo_states):
+        sc, _, leaves = leo_states
+        th = Sgp4Theory()
+        got = osc_to_mean(th, sc.epoch_s, list(DAVector.stack(leaves)))
+        TestStackedTheories.assert_members_alone(
+            got.values, [osc_to_mean(th, sc.epoch_s, list(s)).values for s in leaves])
+
+    def test_one_da_propagation_per_pass(self, leo_states):
+        # at order 2: the constant part on floats, one order-1 propagation
+        # for the Jacobian and one Newton pass at the map's order
+        sc, root, _ = leo_states
+        th = Sgp4Theory()
+        orders = []
+        real = th.propagate_mean
+
+        def counting(mean, t_s):
+            p = mean.values[0]
+            orders.append(p.ctx.order if isinstance(p, TaylorPoly) else 0)
+            return real(mean, t_s)
+
+        th.propagate_mean = counting
+        osc_to_mean(th, sc.epoch_s, list(root))
+        floats = orders.count(0)
+        assert floats >= 1 and orders == [0] * floats + [1, 2]
+        assert (th.counts.inversion_float_passes, th.counts.lf_da_propagations) == (floats, 1)
+
+    def test_equatorial_float_columns_invert_row_by_row(self):
+        # i and raan come out of an exactly equatorial extraction as scalars
+        # beside the columns; each row keeps the bits of its width-1 column
+        th = Sgp4Theory()
+        rows = [convert_values([a, e, 0.0, 0.0, w, m], KEPLERIAN, CARTESIAN, th.mu)[0]
+                for a, e, w, m in ((6678.0, 0.01, 0.0, 0.0), (6690.0, 0.012, 0.5, 1.0),
+                                   (6700.0, 0.008, 2.0, 4.0))]
+        got = osc_to_mean(th, 0.0, [np.array(c) for c in zip(*rows)])
+        for b, row in enumerate(rows):
+            alone = osc_to_mean(th, 0.0, [np.array([v]) for v in row])
+            for p, q in zip(got.values, alone.values):
+                assert p.shape == (3,) and np.array_equal(p[b:b + 1].view(np.int64),
+                                                         q.view(np.int64))
+            np.testing.assert_allclose(np.array(got.values)[:, b],
+                                       osc_to_mean(th, 0.0, list(row)).values,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestLfTarget:

@@ -29,7 +29,7 @@ from orbuq.gmm import (
 )
 from orbuq.integrate import IntegratorConfig
 from orbuq.loads import Manifold, initial_domain
-from orbuq.lowfi import KeplerJ2Theory, lf_target
+from orbuq.lowfi import KeplerJ2Theory, Sgp4Theory, lf_target
 from orbuq.pipeline import (
     Scenario,
     batch_propagate_chunked,
@@ -207,6 +207,39 @@ class TestMfPropagate:
         assert [n for (n,) in calls] == [1, 9, 27]
         assert stage.stats.domains_per_generation == [9, 27]
         assert stage.stats.target_evals == 36 and stage.stats.batch_fallbacks == 0
+
+    def test_lf_counters_match_the_propagations(self, monkeypatch):
+        # the counters are kept where the propagations happen, so they equal
+        # a count of the theory's propagations by kind and add none: per
+        # polynomial target call, the inversion's float passes, one order-1
+        # propagation for its Jacobian, one Newton pass and the forward
+        # propagation, both at the map's order 2
+        orders, targets = [], []
+        propagate = Sgp4Theory.propagate_mean
+        real_target = pipeline.lf_target
+
+        def counted(self, mean, t_s):
+            p = mean.values[0]
+            orders.append(p.ctx.order if isinstance(p, TaylorPoly) else 0)
+            return propagate(self, mean, t_s)
+
+        def counting_target(*args, **kwargs):
+            f = real_target(*args, **kwargs)
+
+            def g(state):
+                targets.append(state)
+                return f(state)
+            return g
+
+        monkeypatch.setattr(Sgp4Theory, "propagate_mean", counted)
+        monkeypatch.setattr(pipeline, "lf_target", counting_target)
+        leo, _ = load_scenario("leo", ["periods=1.0", "loads.eps_nu=0.05"])
+        stats = lf_stage(leo).stats
+        assert len(targets) == len(stats.domains_per_generation) > 1
+        assert orders.count(1) == len(targets)
+        assert stats.lf_da_propagations == orders.count(2) == 2 * len(targets)
+        assert stats.inversion_float_passes == orders.count(0) >= len(targets)
+        assert len(orders) == sum(orders.count(k) for k in (0, 1, 2))
 
     def test_one_propagation_per_chunk(self, monkeypatch):
         # the kernel means are corrected in _CHUNK-row batches and nothing
