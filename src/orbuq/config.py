@@ -85,8 +85,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
 
 
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One uncertainty-propagation case: orbit, sigmas, models and controls."""

@@ -323,9 +323,9 @@ def converged_reference(theory, epoch_s, cart, extra=15, eps_max=1e-10, i_max=50
     """Mean elements converged in every coefficient, for polynomial states.
 
     The fixed point on the whole polynomial state, run ``extra`` passes on
-    after the constant part of every member has settled.  The SGP4 passes
-    contract every coefficient by about a factor of 100, so the nilpotent
-    part is converged to roundoff as well.
+    after the constant part of every member has settled.  Every coefficient
+    contracts at the fixed point's rate, so on these LEO states the
+    nilpotent part ends converged to roundoff as well.
     """
     target = theory.osc_extract(cart)
     mean = list(target)
